@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCollision, SingularityTooClose, Tangential
+from .errors import (LorentzGasError, NoCollision, SingularityTooClose,
+                     Tangential)
 
 GRAZING_TOL = 1e-10
 FD_GUARD = 1e-6
@@ -62,13 +63,7 @@ def _ray_circle_first(q, v, C, R, t_lo):
         return None
     s = np.sqrt(disc)
     t1 = -b - s
-    if t1 > t_lo:
-        return t1
-    t2 = -b + s
-    if t2 > t_lo:
-        # started inside the bounding circle; entry root already passed
-        return None
-    return None
+    return t1 if t1 > t_lo else None
 
 
 def _ray_profile_first(sc, offset, q, v, t_lo, t_hi):
@@ -201,6 +196,51 @@ def free_flight_ray(config, q, v, flight_cap=50.0, exclude=None):
     return j, off, best_t, hit
 
 
+def _first_circle_hits(config, q, v, flight_cap, max_cells=3, launch=None):
+    """First circle image hit by each ray q[k] + t v[k], t > 1e-11.
+
+    Vectorised over the rays; searches every image whose center lies in
+    the (2 max_cells + 1)^2 cell window around the base cell, so every
+    scatterer must be a circle.  `launch` holds each ray's own scatterer,
+    whose base-cell image the ray starts on and skips.  Returns (t,
+    scatterer, offset) arrays; t is inf where no image in the window is hit.
+    """
+    best_t = np.full(len(q), np.inf)
+    best_j = np.full(len(q), -1, dtype=int)
+    best_off = np.zeros((len(q), 2))
+    qx, qy = q[:, 0], q[:, 1]
+    vx, vy = v[:, 0], v[:, 1]
+    q2 = qx * qx + qy * qy
+    cells = range(-max_cells, max_cells + 1)
+    # a copy whose center is farther than the cap plus the cell
+    # diagonal and its radius can never win
+    reach = min(flight_cap, max_cells * 2.0) + math.sqrt(2.0)
+    for j, sc in enumerate(config.scatterers):
+        R2 = sc.R ** 2
+        for ox in cells:
+            for oy in cells:
+                Cx = sc.center[0] + ox
+                Cy = sc.center[1] + oy
+                if math.hypot(Cx - 0.5, Cy - 0.5) > reach + sc.R:
+                    continue
+                b = (qx - Cx) * vx + (qy - Cy) * vy
+                c = q2 - 2.0 * (qx * Cx + qy * Cy) \
+                    + (Cx * Cx + Cy * Cy) - R2
+                disc = b * b - c
+                valid = disc > 0
+                t1 = -b - np.sqrt(disc, where=valid,
+                                  out=np.zeros_like(disc))
+                hit = valid & (t1 > 1e-11) & (t1 < best_t)
+                if ox == 0 and oy == 0 and launch is not None:
+                    hit &= launch != j
+                if not hit.any():
+                    continue
+                best_t[hit] = t1[hit]
+                best_j[hit] = j
+                best_off[hit] = (ox, oy)
+    return best_t, best_j, best_off
+
+
 # ---------------------------------------------------------------------------
 # the map
 
@@ -276,19 +316,22 @@ class ClassicalMap:
             [-Km * (tau * K + c) - K * cm, tau * Km + cm]])
         return Jacobian2x2(m)
 
-    # -- vectorized fast path (all-circle configs) --------------------------
+    # -- vectorized batch path ----------------------------------------------
 
     def forward_batch(self, idx, r, phi, max_cells=3):
-        """Vectorized forward map for all-circle configs.
+        """Forward map of arrays of phase points.
 
         Returns (idx1, r1, phi1, tau, ok) arrays; ok is False where no
         collision was found within the cell window or flight cap.
+        All-circle configs are searched vectorised over the cell window;
+        configs with profile scatterers take the scalar map point by
+        point, with ok False where it raises.
         """
-        if not self.all_circles:
-            raise NotImplementedError("batch path requires circular scatterers")
         idx = np.asarray(idx, dtype=int)
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
+        if not self.all_circles:
+            return self._forward_each(idx, r, phi)
         Rs = np.array([s.R for s in self.config.scatterers])
         rots = np.array([s.rotation for s in self.config.scatterers])
         Cs = np.stack([s.center for s in self.config.scatterers])
@@ -300,39 +343,8 @@ class ClassicalMap:
         q = Cs[idx] + Ri[:, None] * n
         v = np.cos(phi)[:, None] * n + np.sin(phi)[:, None] * t
 
-        best_t = np.full(len(r), np.inf)
-        best_j = np.full(len(r), -1, dtype=int)
-        best_off = np.zeros((len(r), 2))
-        qx, qy = q[:, 0], q[:, 1]
-        vx, vy = v[:, 0], v[:, 1]
-        q2 = qx * qx + qy * qy
-        cells = range(-max_cells, max_cells + 1)
-        # a copy whose center is farther than the cap plus the cell
-        # diagonal and its radius can never win
-        reach = min(self.flight_cap, max_cells * 2.0) + math.sqrt(2.0)
-        for j, sc in enumerate(self.config.scatterers):
-            R2 = sc.R ** 2
-            for ox in cells:
-                for oy in cells:
-                    Cx = sc.center[0] + ox
-                    Cy = sc.center[1] + oy
-                    if math.hypot(Cx - 0.5, Cy - 0.5) > reach + sc.R:
-                        continue
-                    b = (qx - Cx) * vx + (qy - Cy) * vy
-                    c = q2 - 2.0 * (qx * Cx + qy * Cy) \
-                        + (Cx * Cx + Cy * Cy) - R2
-                    disc = b * b - c
-                    valid = disc > 0
-                    t1 = -b - np.sqrt(disc, where=valid,
-                                      out=np.zeros_like(disc))
-                    hit = valid & (t1 > 1e-11) & (t1 < best_t)
-                    if ox == 0 and oy == 0:
-                        hit &= idx != j
-                    if not hit.any():
-                        continue
-                    best_t[hit] = t1[hit]
-                    best_j[hit] = j
-                    best_off[hit] = (ox, oy)
+        best_t, best_j, best_off = _first_circle_hits(
+            self.config, q, v, self.flight_cap, max_cells, launch=idx)
 
         ok = np.isfinite(best_t) & (best_t <= self.flight_cap)
         jj = np.where(ok, best_j, 0)
@@ -347,6 +359,25 @@ class ClassicalMap:
         phi1 = np.arctan2(np.einsum("ij,ij->i", v_out, t1v),
                           np.einsum("ij,ij->i", v_out, n1))
         return jj, r1, phi1, best_t, ok
+
+    def _forward_each(self, idx, r, phi):
+        """forward_batch through the scalar map, one point at a time."""
+        n = len(r)
+        jj = np.zeros(n, dtype=int)
+        r1 = np.zeros(n)
+        phi1 = np.zeros(n)
+        tau = np.full(n, np.inf)
+        ok = np.zeros(n, dtype=bool)
+        for k in range(n):
+            try:
+                res = self.forward(PhasePoint(int(idx[k]), float(r[k]),
+                                              float(phi[k])))
+            except LorentzGasError:
+                continue
+            jj[k], r1[k], phi1[k] = res.next.scatterer, res.next.r, res.next.phi
+            tau[k] = res.tau
+            ok[k] = True
+        return jj, r1, phi1, tau, ok
 
     def backward_batch(self, idx, r, phi, max_cells=3):
         """Vectorized backward map (time reversal of the forward batch)."""

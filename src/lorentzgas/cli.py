@@ -228,6 +228,7 @@ def cmd_forced(args, runner):
     disp = 0.0
     inv_err = 0.0
     used = 0
+    backward_failures = 0
     for i in range(args.samples):
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
         try:
@@ -253,11 +254,12 @@ def cmd_forced(args, runner):
             inv_err = max(inv_err, math.hypot(min(dr, L - dr),
                                               back.phi - x.phi))
         except LorentzGasError:
-            pass
+            backward_failures += 1
     runner.write_json("forced.json", {
         "samples_used": used, "max_energy_drift": drift,
         "max_displacement_vs_classical": disp,
-        "invertibility_error": inv_err})
+        "invertibility_error": inv_err,
+        "backward_failures": backward_failures})
 
 
 def cmd_verify(args, runner):
@@ -268,8 +270,9 @@ def cmd_verify(args, runner):
     payload = rep.to_dict()
     runner.write_json("report.json", payload)
     if not payload["all_passed"]:
-        print("verify: FAILED hypotheses:",
-              [k for k, v in payload["checks"].items() if not v["passed"]])
+        failed = [k for k, v in payload["hypotheses"].items()
+                  if not v["passed"]]
+        print("verify: FAILED hypotheses:", failed)
         return 1
     print("verify: all hypotheses passed")
     return 0
@@ -383,8 +386,6 @@ def build_parser():
         description="Dispersing billiard maps, perturbations, and "
                     "transfer-operator spectra.")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for numerical backends")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--flight-cap", type=float, default=50.0)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -450,7 +451,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         config_args = args.configs(args)
         resolved = []

@@ -203,6 +203,7 @@ class ScattererConfig:
         self.torus_side = 1.0
         self._check_disjoint()
         self.lengths = np.array([s.L for s in self.scatterers])
+        self._metrics = {}  # config_metrics memo
 
     def _check_disjoint(self):
         scs = self.scatterers
@@ -250,7 +251,7 @@ class ScattererConfig:
             raise ValidationFailed(str(e), "missing field") from e
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConfigMetrics:
     tau_min: float
     tau_max: float
@@ -269,45 +270,62 @@ class ConfigMetrics:
 def _corridor_free(config, flight_cap, n_dirs=5, n_off=48):
     """Detect an unbounded free corridor by firing rays along lattice
     directions from a grid of offsets; returns True if one survives the cap."""
-    from .classical_map import free_flight_ray
-    dirs = []
+    from .classical_map import _first_circle_hits, free_flight_ray
+    q0, v = [], []
     for p in range(0, n_dirs + 1):
         for q in range(-n_dirs, n_dirs + 1):
             if p == 0 and q <= 0:
                 continue
             if np.gcd(p, abs(q)) == 1:
-                dirs.append((p, q))
-    for (p, q) in dirs:
-        v = np.array([p, q], dtype=float)
-        v /= np.linalg.norm(v)
-        perp = np.array([-v[1], v[0]])
-        for s in np.linspace(0.0, 1.0, n_off, endpoint=False):
-            q0 = s * perp
-            try:
-                free_flight_ray(config, q0, v, flight_cap=flight_cap)
-            except NoCollision:
-                return True
+                d = np.array([p, q], dtype=float)
+                d /= np.linalg.norm(d)
+                perp = np.array([-d[1], d[0]])
+                for s in np.linspace(0.0, 1.0, n_off, endpoint=False):
+                    q0.append(s * perp)
+                    v.append(d)
+    q0, v = np.array(q0), np.array(v)
+    # any hit within the cap blocks a ray; the rest are traced in full
+    open_rays = np.ones(len(q0), dtype=bool)
+    if all(s.is_circle for s in config.scatterers):
+        t, _, _ = _first_circle_hits(config, q0, v, flight_cap)
+        open_rays = ~(t <= flight_cap)
+    for k in np.flatnonzero(open_rays):
+        try:
+            free_flight_ray(config, q0[k], v[k], flight_cap=flight_cap)
+        except NoCollision:
+            return True
     return False
 
 
-def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
-    """Measure tau_min/tau_max, curvature bounds, C3 norm, and horizon."""
-    from .classical_map import PhasePoint, free_flight
+def _launches(config, n_samples, seed):
+    """The random launches (idx, r, phi) config_metrics flies."""
     rng = np.random.default_rng(seed)
-    taus = []
-    infinite = False
-    for _ in range(n_samples):
-        i = int(rng.integers(len(config)))
-        r = rng.uniform(0, config[i].L)
-        phi = rng.uniform(-np.pi / 2 * 0.999, np.pi / 2 * 0.999)
-        try:
-            res = free_flight(config, PhasePoint(i, r, phi), flight_cap=flight_cap)
-            taus.append(res.tau)
-        except NoCollision:
-            infinite = True
-    taus = np.array(taus)
-    # local descent refinement of the minimum
+    idx = np.empty(n_samples, dtype=int)
+    r = np.empty(n_samples)
+    phi = np.empty(n_samples)
+    for k in range(n_samples):
+        idx[k] = i = int(rng.integers(len(config)))
+        r[k] = rng.uniform(0, config[i].L)
+        phi[k] = rng.uniform(-np.pi / 2 * 0.999, np.pi / 2 * 0.999)
+    return idx, r, phi
+
+
+def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
+    """Measure tau_min/tau_max, curvature bounds, C3 norm, and horizon.
+
+    Flight times come from one batch sweep over n_samples random launches;
+    launches the batch leaves unresolved, the extreme ones and the
+    Nelder-Mead refinements of the shortest flight take the scalar
+    free_flight.  The result is memoised on the config instance per
+    (flight_cap, n_samples, seed), so a ScattererConfig must not be
+    mutated after construction.
+    """
+    key = (flight_cap, n_samples, seed)
+    if key in config._metrics:
+        return config._metrics[key]
     from scipy.optimize import minimize
+    from .classical_map import ClassicalMap, PhasePoint, free_flight
+    idx, r, phi = _launches(config, n_samples, seed)
 
     def tau_of(z, i):
         try:
@@ -316,26 +334,37 @@ def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
         except NoCollision:
             return flight_cap
 
-    tau_min = float(np.min(taus))
-    order = np.argsort(taus)[:5]
-    # re-draw the best candidates' coordinates for refinement
-    rng = np.random.default_rng(seed)
-    cands = []
-    for _ in range(n_samples):
-        i = int(rng.integers(len(config)))
-        r = rng.uniform(0, config[i].L)
-        phi = rng.uniform(-np.pi / 2 * 0.999, np.pi / 2 * 0.999)
-        cands.append((i, r, phi))
-    for idx in order:
-        i, r, phi = cands[idx]
-        res = minimize(tau_of, x0=[r, phi], args=(i,), method="Nelder-Mead",
+    def scalar_tau(k):
+        return free_flight(config, PhasePoint(int(idx[k]), float(r[k]),
+                                              float(phi[k])),
+                           flight_cap=flight_cap).tau
+
+    _, _, _, taus, ok = ClassicalMap(config, flight_cap).forward_batch(
+        idx, r, phi)
+    infinite = False
+    for k in np.flatnonzero(~ok):
+        try:
+            taus[k] = scalar_tau(k)
+            ok[k] = True
+        except NoCollision:
+            infinite = True
+    flown = np.flatnonzero(ok)
+
+    # local descent refinement of the minimum from the five shortest
+    # flights, each flown again on the scalar path
+    seeds = flown[np.argsort(taus[flown])[:5]]
+    tau_min = min(scalar_tau(k) for k in seeds)
+    for k in seeds:
+        res = minimize(tau_of, x0=[r[k], phi[k]], args=(int(idx[k]),),
+                       method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 300})
         tau_min = min(tau_min, float(res.fun))
 
     if not infinite:
         infinite = _corridor_free(config, flight_cap)
-    tau_max = float("inf") if infinite else float(np.max(taus))
-    return ConfigMetrics(
+    tau_max = float("inf") if infinite else scalar_tau(
+        flown[np.argmax(taus[flown])])
+    met = ConfigMetrics(
         tau_min=tau_min,
         tau_max=tau_max,
         K_min=min(s.K_min for s in config.scatterers),
@@ -344,6 +373,8 @@ def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
         horizon="infinite" if infinite else "finite",
         flight_cap=flight_cap,
     )
+    config._metrics[key] = met
+    return met
 
 
 def deformation_distance(Q, Q0, n_grid=2048):

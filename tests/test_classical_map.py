@@ -114,6 +114,21 @@ def test_batch_matches_scalar(T):
     assert n_bad == 0
 
 
+def test_batch_on_profile_config_is_the_scalar_map():
+    d = four_disk().to_dict()
+    d["scatterers"][0]["cos_coeffs"] = [0.0, 0.02]
+    Tp = ClassicalMap(ScattererConfig.from_dict(d))
+    idx, r, phi = random_points(Tp.config, 20, seed=8)
+    phi[0] = math.pi / 2  # grazing launch: the scalar map raises
+    jj, r1, p1, tau, ok = Tp.forward_batch(idx, r, phi)
+    assert not ok[0] and ok[1:].all()
+    for i in range(1, 20):
+        res = Tp.forward(PhasePoint(int(idx[i]), float(r[i]), float(phi[i])))
+        y = res.next
+        assert (jj[i], r1[i], p1[i], tau[i]) == (y.scatterer, y.r, y.phi,
+                                                 res.tau)
+
+
 def test_backward_batch_is_time_reversal(T):
     idx, r, phi = random_points(T.config, 500, seed=6)
     jj, r1, p1, tau, ok = T.backward_batch(idx, r, phi)

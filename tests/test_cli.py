@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from lorentzgas import cli
 from lorentzgas.cli import main, fixture_path
+from lorentzgas.hyperbolicity import HypothesisReport
 
 
 def run(args):
@@ -82,6 +84,32 @@ def test_distance_self_is_floor(tmp_path):
     assert payload["mask_area"] == 0.0
 
 
+def test_verify_reports_failed_hypotheses(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        rep = HypothesisReport()
+        rep.record("H1", True, {}, 10)
+        rep.record("H3", False, {}, 10)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_hypotheses", failing)
+    assert run(["--out-dir", tmp_path, "verify", "four_disk"]) == 1
+    assert "report.json" in read_manifest(tmp_path)["outputs"]
+    out = capsys.readouterr().out
+    assert "['H3']" in out and "H1" not in out
+
+
+def test_map_on_profile_config(tmp_path):
+    with open(fixture_path("four_disk")) as fh:
+        d = json.load(fh)
+    d["scatterers"][0]["cos_coeffs"] = [0, 0.02]
+    cfg = tmp_path / "profile.json"
+    cfg.write_text(json.dumps(d))
+    assert run(["--out-dir", tmp_path, "map", cfg, "--samples", 50]) == 0
+    with open(tmp_path / "map.json") as fh:
+        payload = json.load(fh)["payload"]
+    assert payload["ok_fraction"] == 1.0
+
+
 def test_forced_subcommand(tmp_path):
     assert run(["--out-dir", tmp_path, "forced", "forced_four_disk",
                 "--samples", 20]) == 0
@@ -90,6 +118,7 @@ def test_forced_subcommand(tmp_path):
     assert payload["samples_used"] > 0
     assert payload["max_energy_drift"] < 1e-9
     assert payload["invertibility_error"] < 1e-7
+    assert 0 <= payload["backward_failures"] <= payload["samples_used"]
 
 
 def test_curves_subcommand(tmp_path):

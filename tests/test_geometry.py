@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentzgas import ScattererConfig, build_scatterer, config_metrics
-from lorentzgas.geometry import deformation_distance
+from lorentzgas import (ClassicalMap, ScattererConfig, build_scatterer,
+                        config_metrics)
+from lorentzgas import classical_map
+from lorentzgas.classical_map import PhasePoint, free_flight
+from lorentzgas.cli import fixture_path
+from lorentzgas.geometry import _launches, deformation_distance
 from lorentzgas.errors import Overlap, ValidationFailed
 
 
@@ -17,6 +21,20 @@ def four_disk(shift=0.0):
         {"R": 0.28, "center": [0.5, 0.5]},
         {"R": 0.12, "center": [0.0 + shift, 0.5]},
         {"R": 0.12, "center": [0.5, 0.0]}]})
+
+
+def two_disk():
+    """Infinite horizon: free corridors along the diagonals."""
+    return ScattererConfig.from_dict({"scatterers": [
+        {"R": 0.35, "center": [0.0, 0.0]},
+        {"R": 0.35, "center": [0.5, 0.5]}]})
+
+
+def fixture_four_disk(cos_coeffs=()):
+    with open(fixture_path("four_disk")) as fh:
+        d = json.load(fh)
+    d["scatterers"][0]["cos_coeffs"] = list(cos_coeffs)
+    return ScattererConfig.from_dict(d)
 
 
 def test_circle_basics():
@@ -122,10 +140,56 @@ def test_tau_min_against_ray_march():
 
 
 def test_infinite_horizon_detected():
-    cfg = ScattererConfig.from_dict({"scatterers": [
-        {"R": 0.35, "center": [0.0, 0.0]},
-        {"R": 0.35, "center": [0.5, 0.5]}]})
-    assert config_metrics(cfg).horizon == "infinite"
+    assert config_metrics(two_disk()).horizon == "infinite"
+
+
+# reference values: every launch flown by the scalar free_flight
+@pytest.mark.parametrize("make, kwargs, expected", [
+    (fixture_four_disk, {}, dict(
+        tau_min=0.04999999999999999, tau_max=0.9833485130628953,
+        K_min=3.333333333333333, K_max=6.666666666666666,
+        E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
+    (two_disk, {}, dict(
+        tau_min=0.007106781186547506, tau_max=float("inf"),
+        K_min=2.8571428571428577, K_max=2.8571428571428577,
+        E_max=13.077514939085585, horizon="infinite", flight_cap=50.0)),
+    (lambda: fixture_four_disk(cos_coeffs=[0.0, 0.02]), {"n_samples": 300},
+     dict(tau_min=0.04400000000000001, tau_max=0.6198357370995722,
+          K_min=3.1236984589754266, K_max=6.666666666666666,
+          E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
+], ids=["four_disk", "two_disk", "profile"])
+def test_config_metrics_pinned(make, kwargs, expected):
+    met = config_metrics(make(), **kwargs)
+    assert {k: getattr(met, k) for k in expected} == expected
+
+
+def test_config_metrics_memoised_per_instance(monkeypatch):
+    """Every flight, scalar or batch, goes through one of these two."""
+    flights = []
+    for name in ("free_flight_ray", "_first_circle_hits"):
+        fn = getattr(classical_map, name)
+        monkeypatch.setattr(classical_map, name,
+                            lambda *a, fn=fn, **kw: flights.append(1)
+                            or fn(*a, **kw))
+    cfg = four_disk()
+    met = config_metrics(cfg)
+    assert flights
+    flights.clear()
+    assert config_metrics(cfg) is met
+    assert not flights
+    assert config_metrics(four_disk()) == met
+    assert flights
+
+
+@pytest.mark.parametrize("make", [fixture_four_disk, two_disk])
+def test_batch_flights_match_scalar_on_metric_launches(make):
+    cfg = make()
+    idx, r, phi = _launches(cfg, 4000, 0)
+    _, _, _, tau, ok = ClassicalMap(cfg).forward_batch(idx, r, phi)
+    assert ok.all()
+    for k in range(len(idx)):
+        x = PhasePoint(int(idx[k]), float(r[k]), float(phi[k]))
+        assert abs(tau[k] - free_flight(cfg, x).tau) < 1e-12
 
 
 def test_deformation_distance_zero_and_symmetry():
