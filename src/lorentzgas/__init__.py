@@ -10,8 +10,7 @@ from .classical_map import (PhasePoint, CollisionResult, ClassicalMap,
                             singularity_distance)
 from .forced_dynamics import (ForceField, KickMap, ForcedMap, JacobiState,
                               integrate_flight, apply_reflection,
-                              evolve_jacobi, jacobi_collision_update,
-                              forward_forced, dt_forced)
+                              evolve_jacobi, jacobi_collision_update)
 from .curve_machinery import (NormParams, StableCurve, GenerationTree,
                               curve_distance, test_fn_distance,
                               pullback_generation, growth_sums,
@@ -35,7 +34,6 @@ __all__ = [
     "free_flight", "homogeneity_index", "singularity_distance",
     "ForceField", "KickMap", "ForcedMap", "JacobiState", "integrate_flight",
     "apply_reflection", "evolve_jacobi", "jacobi_collision_update",
-    "forward_forced", "dt_forced",
     "NormParams", "StableCurve", "GenerationTree", "curve_distance",
     "test_fn_distance", "pullback_generation", "growth_sums",
     "sample_stable_curves", "norm_estimates",

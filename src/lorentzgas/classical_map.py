@@ -291,20 +291,25 @@ class ClassicalMap:
         return CollisionResult(time_reverse(res.next), res.tau,
                                res.grazing_margin)
 
+    def step(self, x):
+        """The forward step and its closed-form differential."""
+        cfg = self.config
+        res = self.forward(x)
+        y = res.next
+        tau = res.tau
+        K = cfg[x.scatterer].curvature_r(x.r)
+        K1 = cfg[y.scatterer].curvature_r(y.r)
+        c, c1 = np.cos(x.phi), np.cos(y.phi)
+        m = (-1.0 / c1) * np.array([
+            [tau * K + c, tau],
+            [K1 * (tau * K + c) + K * c1, tau * K1 + c1]])
+        return res, Jacobian2x2(m)
+
     def dt(self, x, direction="forward"):
         """Closed-form one-step Jacobian in (dr, dphi) coordinates."""
-        cfg = self.config
         if direction == "forward":
-            res = self.forward(x)
-            y = res.next
-            tau = res.tau
-            K = cfg[x.scatterer].curvature_r(x.r)
-            K1 = cfg[y.scatterer].curvature_r(y.r)
-            c, c1 = np.cos(x.phi), np.cos(y.phi)
-            m = (-1.0 / c1) * np.array([
-                [tau * K + c, tau],
-                [K1 * (tau * K + c) + K * c1, tau * K1 + c1]])
-            return Jacobian2x2(m)
+            return self.step(x)[1]
+        cfg = self.config
         res = self.backward(x)
         y = res.next  # y = T^{-1} x
         tau = res.tau

@@ -200,13 +200,13 @@ def cmd_map(args, runner):
         if not ok[i]:
             continue
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-        y = T.forward(x).next
+        res, jac = T.step(x)
+        y = res.next
         back = T.backward(y).next
         Ls = cfg[x.scatterer].L
         dr = abs(back.r - x.r)
         inv_err = max(inv_err, math.hypot(min(dr, Ls - dr),
                                           back.phi - x.phi))
-        jac = T.dt(x)
         det_err = max(det_err, abs(abs(jac.det) * math.cos(y.phi)
                                    / math.cos(x.phi) - 1.0))
     runner.write_json("map.json", {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import (CurveNotHomogeneous, DisjointIntervals,
+from .errors import (CurveNotHomogeneous, DisjointIntervals, LorentzGasError,
                      RefinementBudgetExceeded, ValidationFailed)
 from .classical_map import PhasePoint, homogeneity_index, DEFAULT_K0
 
@@ -278,7 +278,7 @@ class _PullSampler:
         x = self.curve.point(float(r))
         try:
             res = self.map_def.backward(x)
-        except Exception:
+        except LorentzGasError:
             return None
         y = res.next
         v = np.array([1.0, float(self.curve.slope_at(r))])

@@ -16,8 +16,8 @@ from scipy.optimize import brentq
 
 from .errors import (EnergyDrift, KickEjected, NoCollision, NoConvergence,
                      SingularityTooClose, Tangential, ValidationFailed)
-from .classical_map import (ClassicalMap, CollisionResult, PhasePoint,
-                            Jacobian2x2, GRAZING_TOL, FD_GUARD)
+from .classical_map import (CollisionResult, PhasePoint, Jacobian2x2,
+                            GRAZING_TOL, FD_GUARD)
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,77 +324,75 @@ class ForcedMap:
         self.grazing_tol = float(grazing_tol)
         self.rtol = rtol
         self.atol = atol
-        self.classical = ClassicalMap(config, flight_cap=flight_cap,
-                                      grazing_tol=grazing_tol)
         self._gap = _GapOracle(config)
 
     # ------------------------------------------------------------------
     # launch / landing geometry
 
-    def _launch(self, x):
-        """Plane position and momentum for an outgoing phase point."""
+    def _launch(self, x, offset=(0, 0)):
+        """Plane position and momentum for an outgoing phase point, on the
+        energy-1/2 level at the lattice image `offset` of the base point."""
         s = self.config[x.scatterer]
         q, t, n, _K = s.frame(x.r)
         v = math.cos(x.phi) * n + math.sin(x.phi) * t
-        speed = self.force.launch_speed(q)
+        speed = self.force.launch_speed(q + offset)
         return q, speed * v
 
     def forward(self, x):
         """One step of the forced map with kick."""
+        return self._fly(x, (0, 0), self.kick)
+
+    def _fly(self, x, offset, kick):
         if math.pi / 2 - abs(x.phi) < self.grazing_tol:
             raise Tangential("outgoing direction within grazing tolerance")
-        q0, p0 = self._launch(x)
+        q0, p0 = self._launch(x, offset)
         tr = integrate_flight(self, q0, p0, exclude=(x.scatterer, (0, 0)))
-        return self._land(x, tr)
+        return self._land(tr, kick)
 
-    def _land(self, x, tr):
+    def _land(self, tr, kick):
         r1, phi1, rbar, phibar, margin = apply_reflection(
-            self.config, tr.scatterer, tr.q1 - tr.offset, tr.p1, self.kick,
+            self.config, tr.scatterer, tr.q1 - tr.offset, tr.p1, kick,
             self.grazing_tol)
         nxt = PhasePoint(tr.scatterer, rbar, phibar)
         return ForcedResult(nxt, tr.t1, tr.arc_length, margin, tr,
                             PhasePoint(tr.scatterer, r1, phi1))
 
-    def backward(self, x, max_iter=40):
-        """Invert the forward map by a damped Newton iteration."""
-        seed = self.classical.backward(x).next
-        y = np.array([seed.r, seed.phi])
-        j = seed.scatterer
-        L = self.config[j].L
-        target = np.array([x.r, x.phi])
-        Lx = self.config[x.scatterer].L
+    def backward(self, x):
+        """Invert the map by time reversal: F^-1 = I T_f I K^-1, with
+        I(j, r, phi) = (j, r, -phi), T_f the kick-free map and K the kick.
 
-        def residual(yv):
-            if abs(yv[1]) >= math.pi / 2:
-                return None, None
-            try:
-                res = self.forward(PhasePoint(j, yv[0] % L, yv[1]))
-            except (Tangential, NoCollision, KickEjected):
-                return None, None
-            if res.next.scatterer != x.scatterer:
-                return None, res
-            dr = (res.next.r - target[0] + Lx / 2) % Lx - Lx / 2
-            return np.array([dr, res.next.phi - target[1]]), res
-
-        f, res = residual(y)
-        if f is None:
-            raise NoConvergence("backward seed lands on the wrong scatterer")
-        for _ in range(max_iter):
-            if np.abs(f).max() < 1e-10:
-                return CollisionResult(PhasePoint(j, y[0] % L, y[1]),
+        The reversed flight needs the speed the forward one arrived with,
+        1 - 2U(q1 + off) for its lattice offset off.  U is periodic except
+        for the "constant" kind, where the flight is repeated until it lands
+        at offset -off: energy conservation makes that landing the preimage.
+        """
+        pre = self._unkick(x)
+        y = PhasePoint(pre.scatterer, pre.r, -pre.phi)
+        offset = np.zeros(2, dtype=int)
+        for _ in range(4):
+            res = self._fly(y, offset, None)
+            back = -res.transcript.offset
+            if (self.force.kind != "constant"
+                    or np.array_equal(back, offset)):
+                z = res.next
+                return CollisionResult(PhasePoint(z.scatterer, z.r, -z.phi),
                                        res.tau, res.grazing_margin)
-            J = self.dt(PhasePoint(j, y[0] % L, y[1])).m
-            step = np.linalg.solve(J, f)
-            lam = 1.0
-            while lam > 1e-4:
-                f_new, res_new = residual(y - lam * step)
-                if f_new is not None and np.abs(f_new).max() < np.abs(f).max():
-                    y, f, res = y - lam * step, f_new, res_new
-                    break
-                lam *= 0.5
-            else:
-                raise NoConvergence("backward Newton stalled")
-        raise NoConvergence("backward Newton exhausted its budget")
+            offset = back
+        raise NoConvergence("reversed flight found no consistent offset")
+
+    def _unkick(self, x):
+        """Pre-kick coordinates K^-1(x), by Newton on the closed-form kick."""
+        L = self.config[x.scatterer].L
+        y = np.array([x.r, x.phi])
+        for _ in range(20):
+            g1, g2 = self.kick.g(y[0], y[1], L)
+            f = np.array([(y[0] + g1 - x.r + L / 2) % L - L / 2,
+                          y[1] + g2 - x.phi])
+            if np.abs(f).max() <= 1e-14:
+                return PhasePoint(x.scatterer, y[0] % L, y[1])
+            y = y - np.linalg.solve(np.eye(2) + self.kick.dg(y[0], y[1], L),
+                                    f)
+        raise NoConvergence("kick inverse exhausted its budget")
 
     # ------------------------------------------------------------------
     # differential
@@ -404,15 +402,17 @@ class ForcedMap:
         if direction == "backward":
             pre = self.backward(x).next
             return Jacobian2x2(np.linalg.inv(self.dt(pre).m))
+        return self.step(x)[1]
+
+    def step(self, x):
+        """The forward step and its differential, from one flight."""
         if math.pi / 2 - abs(x.phi) < FD_GUARD:
             raise SingularityTooClose("too close to grazing for a differential")
-        q0, p0 = self._launch(x)
-        tr = integrate_flight(self, q0, p0)
-        res = self._land(x, tr)
+        res = self._fly(x, (0, 0), self.kick)
         if res.grazing_margin < FD_GUARD:
             raise SingularityTooClose("image within guard of grazing")
-
-        var_r, var_phi = self._launch_variations(x, q0, p0)
+        tr = res.transcript
+        var_r, var_phi = self._launch_variations(x, tr.q0, tr.p0)
         (dq1, dp1), (dq2, dp2) = _evolve_variation_pair(
             tr, self.force, var_r, var_phi, rtol=self.rtol, atol=self.atol)
         col1 = self._collision_coords(tr, dq1, dp1)
@@ -423,7 +423,7 @@ class ForcedMap:
             G = np.eye(2) + self.kick.dg(pre.r, pre.phi,
                                          self.config[pre.scatterer].L)
             M = G @ M
-        return Jacobian2x2(M)
+        return res, Jacobian2x2(M)
 
     def _launch_variations(self, x, q0, p0):
         """Exact (dq, dp) flow variations for the basis vectors d/dr, d/dphi."""
@@ -707,12 +707,3 @@ def jacobi_collision_update(state, K, phi, h_plus, h_minus):
                  / math.cos(phi) * state.w)
     return JacobiState(w_plus, wdot_plus)
 
-
-def forward_forced(config, x, force=None, kick=None, flight_cap=50):
-    """One-shot forced step without constructing a ForcedMap."""
-    return ForcedMap(config, force, kick, flight_cap=flight_cap).forward(x)
-
-
-def dt_forced(config, x, force=None, kick=None, flight_cap=50):
-    """One-shot forced differential."""
-    return ForcedMap(config, force, kick, flight_cap=flight_cap).dt(x)

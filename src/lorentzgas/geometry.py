@@ -235,10 +235,16 @@ class ScattererConfig:
 
     @classmethod
     def from_dict(cls, d):
-        scs = [build_scatterer(s["center"], s["R"],
-                               s.get("cos_coeffs", ()), s.get("sin_coeffs", ()),
-                               s.get("rotation", 0.0))
-               for s in d["scatterers"]]
+        scs = []
+        for s in d["scatterers"]:
+            cos_c, sin_c = s.get("cos_coeffs", ()), s.get("sin_coeffs", ())
+            kind = s.get("kind")
+            if kind not in (None, "circle", "profile"):
+                raise ValidationFailed("kind", f"unknown scatterer kind {kind!r}")
+            if kind == "circle" and (np.any(cos_c) or np.any(sin_c)):
+                raise ValidationFailed("kind", "circle with profile coefficients")
+            scs.append(build_scatterer(s["center"], s["R"], cos_c, sin_c,
+                                       s.get("rotation", 0.0)))
         return cls(scs)
 
     @classmethod

@@ -114,12 +114,11 @@ def _batch_step(map_def, idx, r, phi):
 
 
 def _image_data_scalar(map_def, x):
-    res = map_def.forward(x)
-    J = map_def.dt(x).m
+    res, J = map_def.step(x)
     y = res.next
     K = float(map_def.config[x.scatterer].curvature_r(x.r))
     K1 = float(map_def.config[y.scatterer].curvature_r(y.r))
-    return y, J, K, K1
+    return y, J.m, K, K1
 
 
 def check_cone_invariance(map_def, cone, n_samples=10000, seed=0,
@@ -245,11 +244,10 @@ def _orbit_jacobians(map_def, x, slope, n):
     v = np.array([1.0, slope])
     cur = x
     for _ in range(n):
-        res = map_def.forward(cur)
-        J = map_def.dt(cur).m
-        u = J @ v
+        res, J = map_def.step(cur)
+        u = J.m @ v
         jw.append(float(np.linalg.norm(u) / np.linalg.norm(v)))
-        det = abs(float(np.linalg.det(J)))
+        det = abs(J.det)
         jmu.append(det * math.cos(res.next.phi) / math.cos(cur.phi))
         cur = res.next
         itinerary.append((cur.scatterer, homogeneity_index(cur.phi)))
@@ -464,12 +462,10 @@ def measure_jacobian_bound(map_def, n_samples=5000, seed=0):
     for i in range(n_samples):
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
         try:
-            res = map_def.forward(x)
-            J = map_def.dt(x).m
+            res, J = map_def.step(x)
         except Exception:
             continue
-        jmu = abs(float(np.linalg.det(J))) * math.cos(res.next.phi) \
-            / math.cos(x.phi)
+        jmu = abs(J.det) * math.cos(res.next.phi) / math.cos(x.phi)
         if 1.0 / jmu > eta:
             eta = 1.0 / jmu
             worst = (x.scatterer, x.r, x.phi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import PhaseSpaceMismatch
+from .errors import LorentzGasError, PhaseSpaceMismatch
 from .geometry import config_metrics
 from .classical_map import PhasePoint
 
@@ -199,7 +199,7 @@ def _inverse_data(map_def, idx, r, phi):
             jmu[i] = abs(np.linalg.det(m)) * math.cos(x.phi) / math.cos(y.phi)
             jj[i], rb[i], pb[i] = y.scatterer, y.r, y.phi
             ok[i] = True
-        except Exception:
+        except LorentzGasError:
             pass
     return jj, rb, pb, A, jmu, ok
 

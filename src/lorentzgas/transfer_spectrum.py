@@ -476,17 +476,19 @@ def limit_stats(map_def, g, n_points=2000, n_steps=10000, seed=0,
     cur_i, cur_r, cur_p = idx, r, phi
     alive = np.ones(n_points, dtype=bool)
     gvals_mean = 0.0
+    n_terms = 0  # sum over steps of the points alive at that step
     for n in range(1, n_total + 1):
         gv = np.asarray(g(cur_i, cur_r, cur_p), dtype=float)
         gsum += np.where(alive, gv, 0.0)
         gvals_mean += np.where(alive, gv, 0.0).sum()
+        n_terms += int(alive.sum())
         if n in ld_ns or n in batch_scales:
             snapshots[n] = gsum.copy()
         if n < n_total:
             jj, r1, p1, ok = _push_points(map_def, cur_i, cur_r, cur_p)
             alive &= ok
             cur_i, cur_r, cur_p = jj, r1, p1
-    mean_g = gvals_mean / (n_total * max(alive.sum(), 1))
+    mean_g = gvals_mean / max(n_terms, 1)
     var_by_scale = {}
     for m in batch_scales:
         if m not in snapshots:

@@ -101,7 +101,7 @@ def test_verify_reports_failed_hypotheses(tmp_path, monkeypatch, capsys):
 def test_map_on_profile_config(tmp_path):
     with open(fixture_path("four_disk")) as fh:
         d = json.load(fh)
-    d["scatterers"][0]["cos_coeffs"] = [0, 0.02]
+    d["scatterers"][0].update(kind="profile", cos_coeffs=[0, 0.02])
     cfg = tmp_path / "profile.json"
     cfg.write_text(json.dumps(d))
     assert run(["--out-dir", tmp_path, "map", cfg, "--samples", 50]) == 0

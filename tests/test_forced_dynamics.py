@@ -7,9 +7,11 @@ import pytest
 
 from lorentzgas import ScattererConfig, ClassicalMap
 from lorentzgas.classical_map import PhasePoint
+from lorentzgas.cli import fixture_path, load_forced
 from lorentzgas.forced_dynamics import (ForceField, KickMap, ForcedMap,
                                         integrate_flight)
-from lorentzgas.errors import ValidationFailed
+from lorentzgas.errors import LorentzGasError, ValidationFailed
+from lorentzgas.transfer_spectrum import sample_invariant
 
 
 def four_disk():
@@ -85,27 +87,32 @@ def test_constant_force_flight_is_a_parabola():
     assert np.abs(tr.p0 + Fv * tr.t1 - tr.p1).max() < 1e-9
 
 
+def _fd_jacobian(step, x, h=1e-6):
+    """Central differences of step at x, or None at a scatterer change."""
+    ys = {}
+    for dr, dp in ((h, 0), (-h, 0), (0, h), (0, -h)):
+        ys[(dr, dp)] = step(PhasePoint(x.scatterer, x.r + dr, x.phi + dp)).next
+    if len({y.scatterer for y in ys.values()}) > 1:
+        return None
+    return np.column_stack([
+        [(ys[(h, 0)].r - ys[(-h, 0)].r) / (2 * h),
+         (ys[(h, 0)].phi - ys[(-h, 0)].phi) / (2 * h)],
+        [(ys[(0, h)].r - ys[(0, -h)].r) / (2 * h),
+         (ys[(0, h)].phi - ys[(0, -h)].phi) / (2 * h)]])
+
+
 def test_differential_against_finite_differences(TF):
     idx, r, phi = random_points(TF.config, 12, seed=3)
-    h = 1e-6
     checked = 0
     for i in range(12):
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
         try:
             J = TF.dt(x).m
-            ys = {}
-            for dr, dp in ((h, 0), (-h, 0), (0, h), (0, -h)):
-                ys[(dr, dp)] = TF.forward(
-                    PhasePoint(x.scatterer, x.r + dr, x.phi + dp)).next
+            J_fd = _fd_jacobian(TF.forward, x)
         except Exception:
             continue
-        if len({y.scatterer for y in ys.values()}) > 1:
+        if J_fd is None:
             continue
-        J_fd = np.column_stack([
-            [(ys[(h, 0)].r - ys[(-h, 0)].r) / (2 * h),
-             (ys[(h, 0)].phi - ys[(-h, 0)].phi) / (2 * h)],
-            [(ys[(0, h)].r - ys[(0, -h)].r) / (2 * h),
-             (ys[(0, h)].phi - ys[(0, -h)].phi) / (2 * h)]])
         if np.abs(J_fd - J).max() > 1e-2 * np.abs(J).max():
             continue  # branch cut inside the stencil
         assert np.abs(J_fd - J).max() < 1e-4 * max(1.0, np.abs(J).max())
@@ -140,6 +147,68 @@ def test_backward_inverts_forward(TF):
         assert abs(z.phi - x.phi) < 1e-8
         n_ok += 1
     assert n_ok >= 35
+
+
+def _roundtrip_err(cfg, x, back):
+    assert back.scatterer == x.scatterer
+    L = cfg[x.scatterer].L
+    dr = abs(back.r - x.r)
+    return math.hypot(min(dr, L - dr), back.phi - x.phi)
+
+
+def test_backward_inverts_fixture_draw_near_singularities():
+    """Points of the fixed invariant draw of forced_four_disk that lie near
+    the forward singular set or near grazing, where a Newton inverse
+    seeded with the classical preimage crossed a singular curve."""
+    TF, _ = load_forced(fixture_path("forced_four_disk"), 50.0)
+    cfg = TF.config
+    idx, r, phi = sample_invariant(cfg, 1000, np.random.default_rng(1))
+    for i in (220, 277, 530, 542):
+        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
+        back = TF.backward(TF.forward(x).next).next
+        assert _roundtrip_err(cfg, x, back) <= 1e-9
+
+
+@pytest.mark.parametrize("kick", [None, standard_kick(1e-2)])
+def test_constant_force_backward_inverts_forward(kick):
+    """The "constant" potential is not periodic: the inverse must find the
+    lattice offset of the forward flight."""
+    cfg = four_disk()
+    TF = ForcedMap(cfg, ForceField.constant(1e-2, [0.3, -1.0]), kick)
+    idx, r, phi = sample_invariant(cfg, 300, np.random.default_rng(5))
+    worst, n = 0.0, 0
+    for i in range(300):
+        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
+        try:
+            y = TF.forward(x).next
+        except LorentzGasError:
+            continue
+        worst = max(worst, _roundtrip_err(cfg, x, TF.backward(y).next))
+        n += 1
+    assert n >= 290
+    assert worst <= 1e-9
+
+
+def test_backward_differential(TF):
+    idx, r, phi = random_points(TF.config, 12, seed=6)
+    checked = 0
+    for i in range(12):
+        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
+        try:
+            y = TF.forward(x).next
+            J = TF.dt(y, direction="backward").m
+            J_fd = _fd_jacobian(TF.backward, y)
+        except LorentzGasError:
+            continue
+        pre = TF.backward(y).next
+        assert np.array_equal(J, np.linalg.inv(TF.dt(pre).m))
+        if J_fd is None:
+            continue
+        if np.abs(J_fd - J).max() > 1e-2 * np.abs(J).max():
+            continue  # branch cut inside the stencil
+        assert np.abs(J_fd - J).max() < 1e-4 * max(1.0, np.abs(J).max())
+        checked += 1
+    assert checked >= 6
 
 
 def test_short_chord_not_skipped():

@@ -34,6 +34,8 @@ def fixture_four_disk(cos_coeffs=()):
     with open(fixture_path("four_disk")) as fh:
         d = json.load(fh)
     d["scatterers"][0]["cos_coeffs"] = list(cos_coeffs)
+    if len(cos_coeffs):
+        d["scatterers"][0]["kind"] = "profile"
     return ScattererConfig.from_dict(d)
 
 
@@ -108,6 +110,26 @@ def test_from_file_missing_field(tmp_path):
     p.write_text(json.dumps({"scatterers": [{"center": [0, 0]}]}))
     with pytest.raises(ValidationFailed):
         ScattererConfig.from_file(str(p))
+
+
+@pytest.mark.parametrize("kind, coeffs", [
+    ("ellipse", {}),
+    ("circle", {"cos_coeffs": [0.0, 0.02]}),
+    ("circle", {"sin_coeffs": [0.01]}),
+])
+def test_from_dict_rejects_bad_kind(kind, coeffs):
+    with pytest.raises(ValidationFailed):
+        ScattererConfig.from_dict({"scatterers": [
+            dict(kind=kind, R=0.3, center=[0.0, 0.0], **coeffs)]})
+
+
+def test_from_dict_accepts_declared_kinds():
+    cfg = ScattererConfig.from_dict({"scatterers": [
+        {"kind": "circle", "R": 0.3, "center": [0.0, 0.0],
+         "cos_coeffs": [0.0]},
+        {"kind": "profile", "R": 0.15, "center": [0.5, 0.5],
+         "cos_coeffs": [0.0, 0.02]}]})
+    assert not cfg[1].is_circle
 
 
 def test_config_metrics_four_disk():

@@ -158,6 +158,23 @@ def test_limit_stats_zero_observable():
     assert out["mean"] == 0.0
 
 
+class _DyingIdentityMap(_IdentityMap):
+    """Identity map under which every orbit on scatterer 0 dies at once."""
+
+    def forward_batch(self, idx, r, phi, max_cells=3):
+        jj, r1, p1, tau, _ = super().forward_batch(idx, r, phi, max_cells)
+        return jj, r1, p1, tau, np.asarray(idx) != 0
+
+
+def test_limit_stats_mean_counts_steps_of_dying_orbits():
+    one = lambda i, r, p: np.ones(len(np.atleast_1d(r)))
+    out = limit_stats(_DyingIdentityMap(four_disk()), one, n_points=300,
+                      n_steps=16, batch_scales=(16,), ld_ns=(8,))
+    assert 0.0 < out["alive_fraction"] < 1.0
+    assert out["mean"] == 1.0
+    assert out["sigma2"][16] == 0.0
+
+
 def test_limit_stats_variance_stabilizes():
     T = ClassicalMap(four_disk(), flight_cap=2.5)
     f = lambda i, r, p: np.sin(p)
