@@ -196,48 +196,103 @@ def free_flight_ray(config, q, v, flight_cap=50.0, exclude=None):
     return j, off, best_t, hit
 
 
-def _first_circle_hits(config, q, v, flight_cap, max_cells=3, launch=None):
-    """First circle image hit by each ray q[k] + t v[k], t > 1e-11.
+_BLOCK = 8          # candidate images tested per pass
+_CHUNK = 4096       # points mapped together, to bound the temporaries
+_LB_SLACK = 1e-6    # > the rounding error of a grazing discriminant root
 
-    Vectorised over the rays; searches every image whose center lies in
-    the (2 max_cells + 1)^2 cell window around the base cell, so every
-    scatterer must be a circle.  `launch` holds each ray's own scatterer,
-    whose base-cell image the ray starts on and skips.  Returns (t,
-    scatterer, offset) arrays; t is inf where no image in the window is hit.
+
+def _candidate_table(config, flight_cap, max_cells, q=None):
+    """The circle images a ray may hit first, sorted per ray source.
+
+    The images are those of the (2 max_cells + 1)^2 cell window around
+    the base cell, less the copies whose center is farther than the cap
+    plus the cell diagonal and their radius (they can never win).  A
+    source is a disc (S, rho): each scatterer, whose rays skip its base
+    image, or, given ray origins q, one disc around all of them.  Its row
+    sorts the images by lb = |C_img - S| - rho - R_j, a lower bound on the
+    flight of a unit-speed ray from the disc to the image.  A skipped
+    image is a dummy (lb inf, R^2 = -1) that no ray hits.  Returns
+    (lb, Cx, Cy, |C|^2, R^2, scatterer, offset), one row per source.
     """
-    best_t = np.full(len(q), np.inf)
-    best_j = np.full(len(q), -1, dtype=int)
-    best_off = np.zeros((len(q), 2))
-    qx, qy = q[:, 0], q[:, 1]
-    vx, vy = v[:, 0], v[:, 1]
-    q2 = qx * qx + qy * qy
-    cells = range(-max_cells, max_cells + 1)
-    # a copy whose center is farther than the cap plus the cell
-    # diagonal and its radius can never win
     reach = min(flight_cap, max_cells * 2.0) + math.sqrt(2.0)
-    for j, sc in enumerate(config.scatterers):
-        R2 = sc.R ** 2
-        for ox in cells:
-            for oy in cells:
-                Cx = sc.center[0] + ox
-                Cy = sc.center[1] + oy
-                if math.hypot(Cx - 0.5, Cy - 0.5) > reach + sc.R:
-                    continue
-                b = (qx - Cx) * vx + (qy - Cy) * vy
-                c = q2 - 2.0 * (qx * Cx + qy * Cy) \
-                    + (Cx * Cx + Cy * Cy) - R2
-                disc = b * b - c
-                valid = disc > 0
-                t1 = -b - np.sqrt(disc, where=valid,
-                                  out=np.zeros_like(disc))
-                hit = valid & (t1 > 1e-11) & (t1 < best_t)
-                if ox == 0 and oy == 0 and launch is not None:
-                    hit &= launch != j
-                if not hit.any():
-                    continue
-                best_t[hit] = t1[hit]
-                best_j[hit] = j
-                best_off[hit] = (ox, oy)
+    cells = range(-max_cells, max_cells + 1)
+    scs = config.scatterers
+    j, ox, oy = np.array([(j, ox, oy) for j, sc in enumerate(scs)
+                          for ox in cells for oy in cells
+                          if math.hypot(sc.center[0] + ox - 0.5,
+                                        sc.center[1] + oy - 0.5)
+                          <= reach + sc.R]).T
+    Cs = np.stack([sc.center for sc in scs])
+    R = np.array([sc.R for sc in scs])
+    Cx, Cy = Cs[j, 0] + ox, Cs[j, 1] + oy
+    if q is None:
+        S, rho = Cs, R
+    else:
+        S = q.mean(axis=0, keepdims=True)
+        rho = np.sqrt(((q - S) ** 2).sum(axis=1)).max(keepdims=True)
+    lb = (np.hypot(Cx - S[:, :1], Cy - S[:, 1:]) - rho[:, None] - R[j]
+          - _LB_SLACK)
+    if q is None:
+        lb[(j == np.arange(len(R))[:, None]) & (ox == 0) & (oy == 0)] = np.inf
+    order = np.argsort(lb, axis=1, kind="stable")
+    lb = np.take_along_axis(lb, order, axis=1)
+    dummy = np.isinf(lb)
+    Cx, Cy = np.where(dummy, 0.0, Cx[order]), np.where(dummy, 0.0, Cy[order])
+    R2 = np.array([sc.R ** 2 for sc in scs])[j[order]]
+    return (lb, Cx, Cy, Cx * Cx + Cy * Cy, np.where(dummy, -1.0, R2),
+            j[order], np.stack([ox[order], oy[order]], axis=-1))
+
+
+def _first_circle_hits(config, q, v, flight_cap, max_cells=3, launch=None):
+    """First circle image hit by each unit-speed ray q[k] + t v[k], t > 1e-11.
+
+    Every scatterer must be a circle.  `launch` holds each ray's own
+    scatterer, whose base-cell image the ray starts on and skips; the
+    candidate table of these sources is memoised on the config.  Each
+    pass tests the next _BLOCK candidates of every open ray, which closes
+    once the lower bound of its next candidate reaches its best hit, so
+    the result is that of testing every image of the table.  Returns (t,
+    scatterer, offset) arrays; t is inf where no image is hit.
+    """
+    if launch is None:
+        src = np.zeros(len(q), dtype=int)
+        tab = _candidate_table(config, flight_cap, max_cells, q)
+    else:
+        src, key = launch, (flight_cap, max_cells)
+        if key not in config._hit_tables:
+            config._hit_tables[key] = _candidate_table(config, flight_cap,
+                                                       max_cells)
+        tab = config._hit_tables[key]
+    lb, Cx, Cy, C2, R2, js, offs = tab
+    best_t = np.full(len(q), np.inf)
+    best_c = np.zeros(len(q), dtype=int)
+    act = np.arange(len(q))
+    for c0 in range(0, lb.shape[1], _BLOCK):
+        if not act.size:
+            break
+        s, blk = src[act], slice(c0, c0 + _BLOCK)
+        qx, qy = q[act, :1], q[act, 1:]
+        vx, vy = v[act, :1], v[act, 1:]
+        bx, by = Cx[s, blk], Cy[s, blk]
+        # c = |q|^2 - 2 q.C + |C|^2 - R^2 summed in this order, so that t
+        # is bit-identical to a plain scan of the window (see the tests)
+        b = (qx - bx) * vx + (qy - by) * vy
+        c = (qx * qx + qy * qy) - 2.0 * (qx * bx + qy * by) \
+            + C2[s, blk] - R2[s, blk]
+        disc = b * b - c
+        valid = disc > 0
+        t1 = -b - np.sqrt(disc, where=valid, out=np.zeros_like(disc))
+        t1 = np.where(valid & (t1 > 1e-11), t1, np.inf)
+        k = np.argmin(t1, axis=1)
+        tk = t1[np.arange(act.size), k]
+        win = tk < best_t[act]
+        best_t[act[win]] = tk[win]
+        best_c[act[win]] = c0 + k[win]
+        if c0 + _BLOCK < lb.shape[1]:
+            act = act[best_t[act] > lb[s, c0 + _BLOCK]]
+    hit = np.isfinite(best_t)
+    best_j = np.where(hit, js[src, best_c], -1)
+    best_off = np.where(hit[:, None], offs[src, best_c], 0).astype(float)
     return best_t, best_j, best_off
 
 
@@ -328,15 +383,27 @@ class ClassicalMap:
 
         Returns (idx1, r1, phi1, tau, ok) arrays; ok is False where no
         collision was found within the cell window or flight cap.
-        All-circle configs are searched vectorised over the cell window;
-        configs with profile scatterers take the scalar map point by
-        point, with ok False where it raises.
+        All-circle configs are searched vectorised over the cell window,
+        _CHUNK points at a time; configs with profile scatterers take the
+        scalar map point by point, with ok False where it raises.
         """
         idx = np.asarray(idx, dtype=int)
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
         if not self.all_circles:
             return self._forward_each(idx, r, phi)
+        n = len(r)
+        out = (np.zeros(n, dtype=int), np.zeros(n), np.zeros(n), np.zeros(n),
+               np.zeros(n, dtype=bool))
+        for a in range(0, n, _CHUNK):
+            sl = slice(a, a + _CHUNK)
+            for o, x in zip(out, self._forward_circles(idx[sl], r[sl],
+                                                       phi[sl], max_cells)):
+                o[sl] = x
+        return out
+
+    def _forward_circles(self, idx, r, phi, max_cells):
+        """forward_batch of an all-circle config."""
         Rs = np.array([s.R for s in self.config.scatterers])
         rots = np.array([s.rotation for s in self.config.scatterers])
         Cs = np.stack([s.center for s in self.config.scatterers])

@@ -204,6 +204,7 @@ class ScattererConfig:
         self._check_disjoint()
         self.lengths = np.array([s.L for s in self.scatterers])
         self._metrics = {}  # config_metrics memo
+        self._hit_tables = {}  # batch collision search memo
 
     def _check_disjoint(self):
         scs = self.scatterers

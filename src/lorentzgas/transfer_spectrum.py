@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (InfiniteHorizon, NoConvergence, WeightNotNormalized,
-                     EigenvalueCollision)
+from .errors import (InfiniteHorizon, LorentzGasError, NoConvergence,
+                     WeightNotNormalized, EigenvalueCollision)
 from .geometry import config_metrics
 from .classical_map import PhasePoint
 
@@ -85,26 +85,22 @@ class _Partition:
         return b, j.astype(int), r, phi
 
 
-def _push_points(map_def, idx, r, phi, chunk=1_000_000):
+def _push_points(map_def, idx, r, phi):
     """Forward images of many phase points; ok=False where the map fails."""
+    if hasattr(map_def, "forward_batch"):
+        jj, r1, p1, _, ok = map_def.forward_batch(idx, r, phi)
+        return jj, r1, p1, ok
     n = idx.size
     jj = np.zeros(n, dtype=int)
     r1 = np.zeros(n)
     p1 = np.zeros(n)
     ok = np.zeros(n, dtype=bool)
-    if hasattr(map_def, "forward_batch") and getattr(
-            map_def, "all_circles", False):
-        for a in range(0, n, chunk):
-            sl = slice(a, min(a + chunk, n))
-            jj[sl], r1[sl], p1[sl], _, ok[sl] = map_def.forward_batch(
-                idx[sl], r[sl], phi[sl])
-        return jj, r1, p1, ok
     for i in range(n):
         try:
             y = map_def.forward(
                 PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))).next
             jj[i], r1[i], p1[i], ok[i] = y.scatterer, y.r, y.phi, True
-        except Exception:
+        except LorentzGasError:
             pass
     return jj, r1, p1, ok
 
@@ -325,6 +321,8 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
     maps: list of MapDef; nu: probability weights (uniform by default);
     g(k, idx, r, phi): per-map sampling weight evaluated at the source
     point (constant 1 by default). Requires sum_k nu_k g_k = 1 pointwise.
+    The operator's drop_rate is the nu-weighted share of samples the maps
+    failed to push.
     """
     m = len(maps)
     nu = np.full(m, 1.0 / m) if nu is None else np.asarray(nu, dtype=float)
@@ -347,9 +345,11 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
                 f"sum_k nu_k g_k deviates from 1 by {np.max(np.abs(tot-1)):.2e}")
     rows, cols, vals = [], [], []
     weight_tot = np.zeros(part.size)
+    drop_rate = 0.0
     for kk, T in enumerate(maps):
         b, j, r, phi = part.sample_boxes(S, rng)
         jj, r1, p1, ok = _push_points(T, j, r, phi)
+        drop_rate += nu[kk] * (1.0 - ok.mean())
         w = np.full(b.size, nu[kk])
         if g is not None:
             w = w * np.asarray(g(kk, j, r, phi), dtype=float)
@@ -373,7 +373,7 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
     return UlamOperator(P=P.tocsr(), N=N, S=S, seed=seed,
                         n_scatterers=len(cfg.scatterers),
                         flight_cap=getattr(maps[0], "flight_cap", math.nan),
-                        drop_rate=math.nan)
+                        drop_rate=float(drop_rate))
 
 
 def operator_distance(op1, op2):
@@ -447,10 +447,11 @@ def correlations(map_def, f, g, n_max=40, n_points=1_000_000, n_batches=50,
     noise = 2.0 * np.median(errs)
     above = np.abs(series[1:]) > 2.0 * errs[1:]
     n_below = int(np.argmax(~above) + 1) if np.any(~above) else n_max + 1
-    fit_n = np.arange(1, n_max + 1)[above]
+    # C_0 .. C_{n_below - 1} lie above the noise
+    lead = np.abs(series[:n_below])
     rate = math.nan
-    if fit_n.size >= 3:
-        rate = -np.polyfit(fit_n, np.log(np.abs(series[fit_n])), 1)[0]
+    if lead.size >= 2 and lead.min() > 0:
+        rate = -np.polyfit(np.arange(lead.size), np.log(lead), 1)[0]
     return {"C_n": series, "err": errs, "rate": float(rate),
             "noise_floor": float(noise), "n_below_noise": n_below,
             "alive_fraction": float(alive.mean())}

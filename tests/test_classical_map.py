@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorentzgas import ScattererConfig, ClassicalMap, config_metrics
+from lorentzgas import classical_map
 from lorentzgas.classical_map import (PhasePoint, free_flight, time_reverse,
-                                      homogeneity_index, singularity_distance)
+                                      homogeneity_index, singularity_distance,
+                                      _first_circle_hits)
 from lorentzgas.errors import NoCollision
 
 
@@ -18,6 +20,13 @@ def four_disk(shift=0.0):
         {"R": 0.30, "center": [0.5, 0.5]},
         {"R": 0.15, "center": [0.0 + shift, 0.5]},
         {"R": 0.15, "center": [0.5, 0.0]}]})
+
+
+def two_disk():
+    """Infinite horizon: corridors clear both disk families."""
+    return ScattererConfig.from_dict({"scatterers": [
+        {"R": 0.35, "center": [0.0, 0.0]},
+        {"R": 0.35, "center": [0.5, 0.5]}]})
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +138,82 @@ def test_batch_on_profile_config_is_the_scalar_map():
                                                  res.tau)
 
 
+def _window_scan(config, q, v, flight_cap, launch=None, max_cells=3):
+    """Reference batch search: every circle image of the cell window in
+    turn, in the discriminant form of _first_circle_hits."""
+    best_t = np.full(len(q), np.inf)
+    best_j = np.full(len(q), -1, dtype=int)
+    best_off = np.zeros((len(q), 2))
+    qx, qy, vx, vy = q[:, 0], q[:, 1], v[:, 0], v[:, 1]
+    q2 = qx * qx + qy * qy
+    cells = range(-max_cells, max_cells + 1)
+    reach = min(flight_cap, max_cells * 2.0) + math.sqrt(2.0)
+    for j, sc in enumerate(config.scatterers):
+        for ox in cells:
+            for oy in cells:
+                Cx, Cy = sc.center[0] + ox, sc.center[1] + oy
+                if math.hypot(Cx - 0.5, Cy - 0.5) > reach + sc.R:
+                    continue
+                b = (qx - Cx) * vx + (qy - Cy) * vy
+                c = q2 - 2.0 * (qx * Cx + qy * Cy) \
+                    + (Cx * Cx + Cy * Cy) - sc.R ** 2
+                disc = b * b - c
+                valid = disc > 0
+                t1 = -b - np.sqrt(disc, where=valid,
+                                  out=np.zeros_like(disc))
+                hit = valid & (t1 > 1e-11) & (t1 < best_t)
+                if ox == 0 and oy == 0 and launch is not None:
+                    hit &= launch != j
+                best_t[hit] = t1[hit]
+                best_j[hit] = j
+                best_off[hit] = (ox, oy)
+    return best_t, best_j, best_off
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make_cfg", [four_disk, two_disk])
+@pytest.mark.parametrize("cap", [3.0, 50.0])
+def test_pruned_search_equals_window_scan(make_cfg, cap):
+    cfg = make_cfg()
+    rng = np.random.default_rng(11)
+    n = 4000
+    idx = rng.integers(0, len(cfg), n)
+    theta = rng.uniform(0.0, 2 * math.pi, n)
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    nrm = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    tng = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    q = np.stack([cfg[int(i)].center for i in idx]) \
+        + np.array([cfg[int(i)].R for i in idx])[:, None] * nrm
+    v = np.cos(phi)[:, None] * nrm + np.sin(phi)[:, None] * tng
+    free_q = rng.uniform(-0.5, 1.5, (2000, 2))
+    ang = rng.uniform(0.0, 2 * math.pi, 2000)
+    free_v = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    for rays, launch in (((q, v), idx), ((free_q, free_v), None)):
+        got = _first_circle_hits(cfg, *rays, cap, launch=launch)
+        want = _window_scan(cfg, *rays, cap, launch=launch)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_candidate_table_is_built_once_per_config(monkeypatch):
+    """...and mapping in chunks leaves every point's image as it is."""
+    calls = []
+    build = classical_map._candidate_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(classical_map, "_candidate_table", counted)
+    T3 = ClassicalMap(four_disk(), flight_cap=3.0)
+    idx, r, phi = random_points(T3.config, 5000, seed=9)
+    whole = T3.forward_batch(idx, r, phi)
+    tail = T3.forward_batch(idx[-100:], r[-100:], phi[-100:])
+    assert calls == [(3.0, 3)]
+    for a, b in zip(whole, tail):
+        assert np.array_equal(a[-100:], b)
+
+
 def test_backward_batch_is_time_reversal(T):
     idx, r, phi = random_points(T.config, 500, seed=6)
     jj, r1, p1, tau, ok = T.backward_batch(idx, r, phi)
@@ -164,9 +249,7 @@ def test_homogeneity_index():
 
 
 def test_infinite_horizon_corridor_raises():
-    cfg = ScattererConfig.from_dict({"scatterers": [
-        {"R": 0.35, "center": [0.0, 0.0]},
-        {"R": 0.35, "center": [0.5, 0.5]}]})
+    cfg = two_disk()
     # the line x + y = 1/2 clears both disk families by ~0.0036
     from lorentzgas.classical_map import free_flight_ray
     q0 = np.array([0.25, 0.25])

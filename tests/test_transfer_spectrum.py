@@ -95,6 +95,7 @@ def test_dirac_ensemble_equals_single_map():
     op1 = build_ulam(T, N=8, S=40, seed=3)
     op2 = random_operator([T], nu=[1.0], N=8, S=40, seed=3)
     assert (op1.P != op2.P).nnz == 0
+    assert op1.drop_rate == op2.drop_rate
 
 
 def test_ensemble_weight_validation():
@@ -173,6 +174,23 @@ def test_limit_stats_mean_counts_steps_of_dying_orbits():
     assert 0.0 < out["alive_fraction"] < 1.0
     assert out["mean"] == 1.0
     assert out["sigma2"][16] == 0.0
+
+
+def test_random_operator_drop_rate_is_nu_weighted():
+    cfg = four_disk()
+    op = random_operator([_IdentityMap(cfg), _DyingIdentityMap(cfg)],
+                         nu=[0.5, 0.5], N=8, S=10, seed=0)
+    # every box holds S samples and a quarter of the boxes lie on
+    # scatterer 0, whose samples the second map drops
+    assert op.drop_rate == 0.5 * 0.25
+
+
+def test_correlations_rate_from_leading_run():
+    T = ClassicalMap(four_disk())
+    f = lambda i, r, p: np.sin(p)
+    out = correlations(T, f, f, n_max=20, n_points=5000, seed=3)
+    assert out["n_below_noise"] >= 2
+    assert math.isfinite(out["rate"]) and out["rate"] > 0
 
 
 def test_limit_stats_variance_stabilizes():
