@@ -8,9 +8,8 @@ from .geometry import (ScattererConfig, Scatterer, build_scatterer,
 from .classical_map import (PhasePoint, CollisionResult, ClassicalMap,
                             free_flight, homogeneity_index,
                             singularity_distance)
-from .forced_dynamics import (ForceField, KickMap, ForcedMap, JacobiState,
-                              integrate_flight, apply_reflection,
-                              evolve_jacobi, jacobi_collision_update)
+from .forced_dynamics import (ForceField, KickMap, ForcedMap,
+                              integrate_flight, apply_reflection)
 from .curve_machinery import (NormParams, StableCurve, GenerationTree,
                               curve_distance, test_fn_distance,
                               pullback_generation, growth_sums,
@@ -32,8 +31,8 @@ __all__ = [
     "ScattererConfig", "Scatterer", "build_scatterer", "config_metrics",
     "deformation_distance", "PhasePoint", "CollisionResult", "ClassicalMap",
     "free_flight", "homogeneity_index", "singularity_distance",
-    "ForceField", "KickMap", "ForcedMap", "JacobiState", "integrate_flight",
-    "apply_reflection", "evolve_jacobi", "jacobi_collision_update",
+    "ForceField", "KickMap", "ForcedMap", "integrate_flight",
+    "apply_reflection",
     "NormParams", "StableCurve", "GenerationTree", "curve_distance",
     "test_fn_distance", "pullback_generation", "growth_sums",
     "sample_stable_curves", "norm_estimates",

@@ -382,10 +382,12 @@ class ClassicalMap:
         """Forward map of arrays of phase points.
 
         Returns (idx1, r1, phi1, tau, ok) arrays; ok is False where no
-        collision was found within the cell window or flight cap.
-        All-circle configs are searched vectorised over the cell window,
-        _CHUNK points at a time; configs with profile scatterers take the
-        scalar map point by point, with ok False where it raises.
+        collision was found within the flight cap.  All-circle configs are
+        searched vectorised over the cell window, _CHUNK points at a time;
+        where the cap reaches past the window, the rays it leaves
+        unresolved are flown again on the scalar map.  Configs with
+        profile scatterers take the scalar map point by point, with ok
+        False where it raises.
         """
         idx = np.asarray(idx, dtype=int)
         r = np.asarray(r, dtype=float)
@@ -400,6 +402,13 @@ class ClassicalMap:
             for o, x in zip(out, self._forward_circles(idx[sl], r[sl],
                                                        phi[sl], max_cells)):
                 o[sl] = x
+        # a flight from the base cell's neighbourhood stays in the window
+        # only if it is at least two cells shorter than the window's reach
+        miss = np.flatnonzero(~out[4])
+        if miss.size and self.flight_cap + 2 > max_cells:
+            fix = self._forward_each(idx[miss], r[miss], phi[miss])
+            for o, x in zip(out, fix):
+                o[miss[fix[4]]] = x[fix[4]]
         return out
 
     def _forward_circles(self, idx, r, phi, max_cells):

@@ -4,14 +4,14 @@ The flow between collisions solves dq/dt = p, dp/dt = F(q, p) for a force
 from a closed-form family with a known conserved quantity; collisions are
 specular reflection followed by a small kick/slip acting on the collision
 coordinates (r, phi).  The map differential is assembled from an exact
-linearization of the launch, the flight (a variational integration), and
-the collision conversion.
+linearization of the launch, the flight (variational equations carried in
+the flight's own integration), and the collision conversion.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import (EnergyDrift, KickEjected, NoCollision, NoConvergence,
@@ -20,11 +20,6 @@ from .classical_map import (CollisionResult, PhasePoint, Jacobian2x2,
                             GRAZING_TOL, FD_GUARD)
 
 TWO_PI = 2.0 * math.pi
-
-
-def _perp(v):
-    """Rotate a 2-vector by +90 degrees."""
-    return np.array([-v[1], v[0]])
 
 
 class ForceField:
@@ -55,6 +50,13 @@ class ForceField:
                           for (m, n, ac, asn) in modes]
         else:
             self.modes = None
+        # constants of the float loops in __call__ and jac_q
+        self._f_const = (self.epsilon * self.direction if kind == "constant"
+                         else np.zeros(2))
+        self._terms = [(m, n, ac, asn, float(m * m), float(m * n),
+                        float(n * n)) for m, n, ac, asn in self.modes or ()]
+        self._e2p = self.epsilon * TWO_PI
+        self._e4p2 = self.epsilon * TWO_PI ** 2
 
     @staticmethod
     def zero():
@@ -73,29 +75,33 @@ class ForceField:
         return self.kind == "zero" or self.epsilon == 0.0
 
     def __call__(self, q, p=None):
-        if self.kind == "constant":
-            return self.epsilon * self.direction
-        if self.kind == "potential":
-            f = np.zeros(2)
-            for m, n, ac, asn in self.modes:
-                ph = TWO_PI * (m * q[0] + n * q[1])
-                s, c = math.sin(ph), math.cos(ph)
-                # -dU/dq with U = eps*(ac*cos(ph) + asn*sin(ph))
-                f += self.epsilon * TWO_PI * (ac * s - asn * c) * np.array([m, n])
-            return f
-        return np.zeros(2)
+        if not self._terms:
+            return self._f_const.copy()
+        x, y = float(q[0]), float(q[1])
+        fx = fy = 0.0
+        for m, n, ac, asn, _, _, _ in self._terms:
+            ph = TWO_PI * (m * x + n * y)
+            # -dU/dq with U = eps*(ac*cos(ph) + asn*sin(ph))
+            w = self._e2p * (ac * math.sin(ph) - asn * math.cos(ph))
+            fx += w * m
+            fy += w * n
+        return np.array([fx, fy])
+
+    def _jac_entries(self, x, y):
+        """(dFx/dx, dFx/dy = dFy/dx, dFy/dy) at the plane point (x, y)."""
+        jxx = jxy = jyy = 0.0
+        for m, n, ac, asn, mm, mn, nn in self._terms:
+            ph = TWO_PI * (m * x + n * y)
+            w = self._e4p2 * (ac * math.cos(ph) + asn * math.sin(ph))
+            jxx += w * mm
+            jxy += w * mn
+            jyy += w * nn
+        return jxx, jxy, jyy
 
     def jac_q(self, q):
         """d F / d q (force is momentum-independent in every family)."""
-        J = np.zeros((2, 2))
-        if self.kind == "potential":
-            for m, n, ac, asn in self.modes:
-                ph = TWO_PI * (m * q[0] + n * q[1])
-                s, c = math.sin(ph), math.cos(ph)
-                k = np.array([m, n])
-                J += (self.epsilon * TWO_PI ** 2
-                      * (ac * c + asn * s)) * np.outer(k, k)
-        return J
+        jxx, jxy, jyy = self._jac_entries(float(q[0]), float(q[1]))
+        return np.array([[jxx, jxy], [jxy, jyy]])
 
     def potential_value(self, q):
         if self.kind == "potential":
@@ -228,7 +234,7 @@ class FlightTranscript:
     """Record of one free flight: endpoints, duration, and hit bookkeeping."""
 
     def __init__(self, q0, p0, q1, p1, t1, scatterer, offset, arc_length,
-                 force, straight=False):
+                 force, straight=False, variations=None):
         self.q0 = np.asarray(q0, dtype=float)
         self.p0 = np.asarray(p0, dtype=float)
         self.q1 = np.asarray(q1, dtype=float)
@@ -239,19 +245,8 @@ class FlightTranscript:
         self.arc_length = float(arc_length)
         self.force = force
         self.straight = bool(straight)
-
-
-class JacobiState:
-    """Transverse displacement and its derivative along a flight."""
-
-    __slots__ = ("w", "wdot")
-
-    def __init__(self, w, wdot):
-        self.w = float(w)
-        self.wdot = float(wdot)
-
-    def __repr__(self):
-        return f"JacobiState(w={self.w!r}, wdot={self.wdot!r})"
+        # the launch variations ((dq, dp), (dq, dp)) carried to the hit
+        self.variations = variations
 
 
 class _GapOracle:
@@ -342,11 +337,13 @@ class ForcedMap:
         """One step of the forced map with kick."""
         return self._fly(x, (0, 0), self.kick)
 
-    def _fly(self, x, offset, kick):
+    def _fly(self, x, offset, kick, variations=False):
         if math.pi / 2 - abs(x.phi) < self.grazing_tol:
             raise Tangential("outgoing direction within grazing tolerance")
         q0, p0 = self._launch(x, offset)
-        tr = integrate_flight(self, q0, p0, exclude=(x.scatterer, (0, 0)))
+        var = self._launch_variations(x, q0, p0) if variations else None
+        tr = integrate_flight(self, q0, p0, exclude=(x.scatterer, (0, 0)),
+                              variations=var)
         return self._land(tr, kick)
 
     def _land(self, tr, kick):
@@ -408,16 +405,12 @@ class ForcedMap:
         """The forward step and its differential, from one flight."""
         if math.pi / 2 - abs(x.phi) < FD_GUARD:
             raise SingularityTooClose("too close to grazing for a differential")
-        res = self._fly(x, (0, 0), self.kick)
+        res = self._fly(x, (0, 0), self.kick, variations=True)
         if res.grazing_margin < FD_GUARD:
             raise SingularityTooClose("image within guard of grazing")
         tr = res.transcript
-        var_r, var_phi = self._launch_variations(x, tr.q0, tr.p0)
-        (dq1, dp1), (dq2, dp2) = _evolve_variation_pair(
-            tr, self.force, var_r, var_phi, rtol=self.rtol, atol=self.atol)
-        col1 = self._collision_coords(tr, dq1, dp1)
-        col2 = self._collision_coords(tr, dq2, dp2)
-        M = np.column_stack([col1, col2])
+        M = np.column_stack([self._collision_coords(tr, dq, dp)
+                             for dq, dp in tr.variations])
         if not self.kick.is_zero:
             pre = res.pre_kick
             G = np.eye(2) + self.kick.dg(pre.r, pre.phi,
@@ -488,54 +481,80 @@ class ForcedResult:
 # ----------------------------------------------------------------------
 # flight integration
 
-def _first_crossing(gap, sol, t_lo, t_hi, speed, coarse=4e-3, fine=2.0e-4):
-    """Bracket the earliest sign change of the wall gap on a dense output.
+_COARSE = 4e-3   # arclength between the wall-gap samples of a step
+_FINE = 2e-4     # resolution of the rescan near a wall
+
+
+def _flow_rhs(force, with_variations):
+    """Right side of (q, p, arclength), plus two stacked flow variations
+    (dq, dp) with d(dq)/dt = dp, d(dp)/dt = dF/dq dq when asked."""
+    if not with_variations:
+        def rhs(_t, y):
+            qx, qy, px, py, _ = y.tolist()
+            f = force((qx, qy))
+            return np.array([px, py, f[0], f[1], math.hypot(px, py)])
+        return rhs
+
+    def rhs_var(_t, y):
+        qx, qy, px, py, _, *var = y.tolist()
+        f = force((qx, qy))
+        jxx, jxy, jyy = force._jac_entries(qx, qy)
+        out = [px, py, f[0], f[1], math.hypot(px, py)]
+        for k in range(0, len(var), 4):
+            dqx, dqy, dpx, dpy = var[k:k + 4]
+            out += (dpx, dpy, jxx * dqx + jxy * dqy, jxy * dqx + jyy * dqy)
+        return np.array(out)
+    return rhs_var
+
+
+def _step_crossing(gap, sol, t_lo, t_hi, speed):
+    """Bracket the earliest sign change of the wall gap on one step's
+    dense output, or None.
 
     Coarse samples flag wall approaches (the gap is 1-Lipschitz in
     position), which are then rescanned at a resolution fine enough to
     catch chords down to sub-milliradian landing angles.
     """
-    if t_hi - t_lo <= fine:
-        return None
+    speed = max(speed, 1e-6)
     ts = np.linspace(t_lo, t_hi,
-                     max(int((t_hi - t_lo) / (coarse / max(speed, 1e-6))), 2) + 1)
-    g = gap.batch_min(sol.sol(ts)[0:2].T)
+                     max(math.ceil((t_hi - t_lo) * speed / _COARSE), 1) + 1)
+    g = gap.batch_min(sol(ts)[0:2].T)
     step = ts[1] - ts[0]
-    near = g < 1.5 * step * max(speed, 1e-6)
-    for i in np.nonzero(near[:-1] | near[1:])[0]:
-        n_f = max(int(step / fine), 2)
-        tf = np.linspace(ts[i], ts[i + 1], n_f + 1)
-        gf = gap.batch_min(sol.sol(tf)[0:2].T)
-        hit = np.nonzero(gf <= 0.0)[0]
+    near = g < 1.5 * step * speed
+    for i in np.flatnonzero(near[:-1] | near[1:]):
+        tf = np.linspace(ts[i], ts[i + 1], max(int(step / _FINE), 2) + 1)
+        hit = np.flatnonzero(gap.batch_min(sol(tf)[0:2].T) <= 0.0)
         if hit.size:
             k = int(hit[0])
-            if k == 0:
-                return (max(t_lo, tf[0] - step), tf[0])
-            return (tf[k - 1], tf[k])
+            # k == 0 only where the step starts on the wall
+            return tf[max(k - 1, 0)], tf[k]
     return None
 
 
-def integrate_flight(fmap, q0, p0, exclude=None):
+def integrate_flight(fmap, q0, p0, exclude=None, variations=None):
     """Integrate the flow from an outgoing boundary state to the next wall.
 
-    Returns a FlightTranscript.  The collision time is located by event
-    detection and polished to 1e-12; the invariant drift is checked.
+    One DOP853 stepping loop: the dense output of each accepted step is
+    scanned for a wall crossing, the first step that holds one ends the
+    flight, and the collision time is polished on that step's interpolant
+    to 1e-13; the invariant drift is checked.  `variations`, a pair of
+    launch variations ((dq, dp), (dq, dp)), rides in the same state and
+    comes back at the collision as the transcript's `variations`.
+    Returns a FlightTranscript.
     """
     force = fmap.force
-    gap = fmap._gap
     if force.is_zero:
-        return _straight_flight(fmap, q0, p0, exclude)
-
+        return _straight_flight(fmap, q0, p0, exclude, variations)
+    gap = fmap._gap
     speed0 = np.linalg.norm(p0)
     t_cap = fmap.flight_cap / max(speed0 * 0.5, 1e-6)
+    rhs = _flow_rhs(force, variations is not None)
+    y0 = np.concatenate([q0, p0, [0.0],
+                         *(np.concatenate(v) for v in variations or ())])
 
-    def rhs(_t, y):
-        f = force(y[0:2], y[2:4])
-        return np.array([y[2], y[3], f[0], f[1], math.hypot(y[2], y[3])])
-
-    # short manual start so the event function leaves zero at the launch wall
+    # short manual start so the gap leaves zero at the launch wall
     dt0 = min(1e-3, 0.02 / speed0)
-    y = np.concatenate([q0, p0, [0.0]])
+    y = y0
     for _ in range(2):
         h = dt0 / 2
         k1 = rhs(0, y)
@@ -543,57 +562,53 @@ def integrate_flight(fmap, q0, p0, exclude=None):
         k3 = rhs(0, y + h / 2 * k2)
         k4 = rhs(0, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    g0, _, _ = gap(y[0:2])
-    if g0 <= 0:
+    if gap(y[0:2])[0] <= 0:
         # immediate regraze of the launch wall; treat as a collision there
-        dt0, y = 0.0, np.concatenate([q0, p0, [0.0]])
+        dt0, y = 0.0, y0
 
-    def event(_t, yv):
-        return gap(yv[0:2])[0]
-    event.terminal = True
-    event.direction = -1
-
-    sol = solve_ivp(rhs, (dt0, t_cap), y, method="DOP853", events=event,
-                    dense_output=True, rtol=fmap.rtol, atol=fmap.atol,
-                    max_step=0.25)
-    f_of = lambda t: gap(sol.sol(t)[0:2])[0]
-    t_ev = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    # the solver only checks the event at step endpoints, so a short
-    # collision chord can hide inside one step; scan the dense output
-    # for the earliest true crossing
-    bracket = _first_crossing(gap, sol, dt0, sol.t[-1], speed0)
-    if bracket is not None:
-        t_hit = brentq(f_of, bracket[0], bracket[1], xtol=1e-13)
-    elif t_ev is not None:
-        t_hit = t_ev
-        lo = max(dt0, t_hit - 1e-3)
-        if f_of(lo) > 0:
-            try:
-                t_hit = brentq(f_of, lo, min(t_hit + 1e-6, sol.t[-1]),
-                               xtol=1e-13)
-            except ValueError:
-                pass
-    else:
-        raise NoCollision(tau=t_cap)
-    y1 = sol.sol(t_hit)
+    solver = DOP853(rhs, dt0, y, t_cap, max_step=0.25, rtol=fmap.rtol,
+                    atol=fmap.atol)
+    while True:
+        msg = solver.step()
+        if solver.status == "failed":
+            raise NoConvergence(f"flight integration failed: {msg}")
+        sol = solver.dense_output()
+        bracket = _step_crossing(gap, sol, solver.t_old, solver.t, speed0)
+        if bracket is not None:
+            break
+        if solver.status == "finished":
+            raise NoCollision(tau=t_cap)
+    t_lo, t_hit = bracket
+    if t_lo < t_hit:
+        try:
+            t_hit = brentq(lambda t: gap(sol(t)[0:2])[0], t_lo, t_hit,
+                           xtol=1e-13)
+        except ValueError as exc:
+            raise NoConvergence("wall bracket does not change sign") from exc
+    y1 = sol(t_hit)
     q1, p1 = y1[0:2], y1[2:4]
     drift = abs(force.energy(q1, p1) - force.energy(q0, p0))
     if drift > 1e-9:
         raise EnergyDrift(f"invariant drift {drift:.3e} over one flight")
     _, j, off = gap(q1)
+    var1 = None if variations is None else (
+        (y1[5:7], y1[7:9]), (y1[9:11], y1[11:13]))
     return FlightTranscript(q0, p0, q1, p1, t_hit, j, off, float(y1[4]),
-                            force)
+                            force, variations=var1)
 
 
-def _straight_flight(fmap, q0, p0, exclude=None):
+def _straight_flight(fmap, q0, p0, exclude=None, variations=None):
     from .classical_map import free_flight_ray
     speed = np.linalg.norm(p0)
     v = p0 / speed
     j, off, t_len, hit = free_flight_ray(fmap.config, q0, v,
                                          fmap.flight_cap, exclude=exclude)
+    t1 = t_len / speed
+    var1 = None if variations is None else tuple(
+        (dq + t1 * dp, dp.copy()) for dq, dp in variations)
     return FlightTranscript(q0, p0, hit + np.asarray(off, dtype=float), p0,
-                            t_len / speed, j, off, t_len, fmap.force,
-                            straight=True)
+                            t1, j, off, t_len, fmap.force, straight=True,
+                            variations=var1)
 
 
 # ----------------------------------------------------------------------
@@ -624,86 +639,3 @@ def apply_reflection(config, j, q_loc, p_minus, kick=None, grazing_tol=GRAZING_T
     if margin_bar <= 0:
         raise KickEjected("kicked state is no longer outgoing")
     return r1, phi1, rbar, phibar, min(margin, margin_bar)
-
-
-# ----------------------------------------------------------------------
-# Jacobi fields
-
-def _variation_rhs(force, y):
-    """Right side for (q, p) plus stacked linear variations (dq, dp)."""
-    q, p = y[0:2], y[2:4]
-    f = force(q, p)
-    J = force.jac_q(q)
-    out = np.empty_like(y)
-    out[0:2] = p
-    out[2:4] = f
-    k = 4
-    while k < y.size:
-        dq, dp = y[k:k + 2], y[k + 2:k + 4]
-        out[k:k + 2] = dp
-        out[k + 2:k + 4] = J @ dq
-        k += 4
-    return out
-
-
-def _evolve_variation_pair(tr, force, var1, var2, rtol=1e-11, atol=1e-11):
-    """Evolve two flow variations along a transcript; exact for F = 0."""
-    if tr.straight or force.is_zero:
-        out = []
-        for dq, dp in (var1, var2):
-            out.append((dq + tr.t1 * dp, dp.copy()))
-        return out
-    y0 = np.concatenate([tr.q0, tr.p0, var1[0], var1[1], var2[0], var2[1]])
-    sol = solve_ivp(lambda t, y: _variation_rhs(force, y), (0.0, tr.t1), y0,
-                    method="DOP853", rtol=rtol, atol=atol, max_step=0.25)
-    y1 = sol.y[:, -1]
-    return [(y1[4:6], y1[6:8]), (y1[8:10], y1[10:12])]
-
-
-def trajectory_curvature(force, q, p):
-    """Signed curvature of the flow trajectory through (q, p)."""
-    speed2 = float(p @ p)
-    return float(force(q, p) @ _perp(p / math.sqrt(speed2))) / speed2
-
-
-def jacobi_from_state(state, q, p, force):
-    """Flow variation (dq, dp) representing a JacobiState at (q, p)."""
-    speed = np.linalg.norm(p)
-    vhat = p / speed
-    vperp = _perp(vhat)
-    dq = state.w * vperp
-    dp = speed * state.wdot * vperp + (float(force(q, p) @ dq) / speed) * vhat
-    return dq, dp
-
-
-def jacobi_to_state(dq, dp, q, p, force):
-    """Read a JacobiState off a flow variation at (q, p)."""
-    speed = np.linalg.norm(p)
-    vhat = p / speed
-    vperp = _perp(vhat)
-    h = trajectory_curvature(force, q, p)
-    w = float(dq @ vperp)
-    wdot = float(dp @ vperp) / speed - h * float(dq @ vhat)
-    return JacobiState(w, wdot)
-
-
-def evolve_jacobi(state, transcript, force=None, rtol=1e-11, atol=1e-11):
-    """Evolve a JacobiState along a flight transcript."""
-    force = force if force is not None else transcript.force
-    if transcript.straight or force.is_zero:
-        return JacobiState(state.w + state.wdot * transcript.t1, state.wdot)
-    dq, dp = jacobi_from_state(state, transcript.q0, transcript.p0, force)
-    (dq1, dp1), _ = _evolve_variation_pair(transcript, force, (dq, dp),
-                                           (np.zeros(2), np.zeros(2)),
-                                           rtol=rtol, atol=atol)
-    return jacobi_to_state(dq1, dp1, transcript.q1, transcript.p1, force)
-
-
-def jacobi_collision_update(state, K, phi, h_plus, h_minus):
-    """Reflect a JacobiState at a wall of curvature K hit at angle phi."""
-    w_plus = -state.w
-    wdot_plus = (-state.wdot
-                 - (2.0 * K + (h_plus + h_minus) * math.sin(phi))
-                 / math.cos(phi) * state.w)
-    return JacobiState(w_plus, wdot_plus)
-

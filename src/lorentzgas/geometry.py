@@ -112,12 +112,19 @@ class Scatterer:
         return a
 
     def theta_of_r(self, r):
-        """Invert the arclength table by Newton iteration."""
+        """Invert the arclength table by Newton iteration.
+
+        At most six iterations; the loop stops once one leaves theta
+        unchanged, since every later one would repeat it exactly.
+        """
         r = np.mod(np.asarray(r, dtype=float), self.L)
         th = np.interp(r, self._inv_arc, self._inv_theta)
         for _ in range(6):
             f = self.arclength(th) - r
-            th = th - f / self._speed(th)
+            th_new = th - f / self._speed(th)
+            if np.array_equal(th_new, th):
+                break
+            th = th_new
         return th
 
     # -- frames -------------------------------------------------------------
@@ -320,12 +327,12 @@ def _launches(config, n_samples, seed):
 def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
     """Measure tau_min/tau_max, curvature bounds, C3 norm, and horizon.
 
-    Flight times come from one batch sweep over n_samples random launches;
-    launches the batch leaves unresolved, the extreme ones and the
-    Nelder-Mead refinements of the shortest flight take the scalar
-    free_flight.  The result is memoised on the config instance per
-    (flight_cap, n_samples, seed), so a ScattererConfig must not be
-    mutated after construction.
+    Flight times come from one batch sweep over n_samples random launches
+    (which flies the launches its cell window leaves unresolved on the
+    scalar map); the extreme ones and the Nelder-Mead refinements of the
+    shortest flight take the scalar free_flight.  The result is memoised
+    on the config instance per (flight_cap, n_samples, seed), so a
+    ScattererConfig must not be mutated after construction.
     """
     key = (flight_cap, n_samples, seed)
     if key in config._metrics:
@@ -348,13 +355,7 @@ def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
 
     _, _, _, taus, ok = ClassicalMap(config, flight_cap).forward_batch(
         idx, r, phi)
-    infinite = False
-    for k in np.flatnonzero(~ok):
-        try:
-            taus[k] = scalar_tau(k)
-            ok[k] = True
-        except NoCollision:
-            infinite = True
+    infinite = not ok.all()
     flown = np.flatnonzero(ok)
 
     # local descent refinement of the minimum from the five shortest

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveNotHomogeneous, ValidationFailed
+from .errors import CurveNotHomogeneous, LorentzGasError, ValidationFailed
 from .classical_map import PhasePoint, homogeneity_index, DEFAULT_K0
 from .curve_machinery import (NormParams, StableCurve, pullback_generation,
                               sample_stable_curves, strip_indices)
@@ -156,7 +156,7 @@ def check_cone_invariance(map_def, cone, n_samples=10000, seed=0,
             x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
             try:
                 y, J, K, K1 = _image_data_scalar(map_def, x)
-            except Exception:
+            except LorentzGasError:
                 continue
             for s in slopes:
                 u = J @ np.array([1.0, s])
@@ -208,7 +208,7 @@ def expansion_stats(map_def, cone, n_samples=10000, seed=0):
             x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
             try:
                 y, J, K, K1 = _image_data_scalar(map_def, x)
-            except Exception:
+            except LorentzGasError:
                 continue
             for s in slopes:
                 v = np.array([1.0, s])
@@ -278,7 +278,7 @@ def distortion_constant(map_def, curves, n=3, pairs_per_curve=12, seed=0):
                                                 float(W.slope_at(r1)), n)
                 jw2, jm2, s2 = _orbit_jacobians(map_def, x2,
                                                 float(W.slope_at(r2)), n)
-            except Exception:
+            except LorentzGasError:
                 continue
             if s1 != s2:
                 continue
@@ -373,7 +373,7 @@ def _orbit_of(map_def, x, n):
     for _ in range(n):
         try:
             cur = map_def.forward(cur).next
-        except Exception:
+        except LorentzGasError:
             return None, None
         pts.append(cur)
         seq.append(cur.scatterer)
@@ -463,7 +463,7 @@ def measure_jacobian_bound(map_def, n_samples=5000, seed=0):
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
         try:
             res, J = map_def.step(x)
-        except Exception:
+        except LorentzGasError:
             continue
         jmu = abs(J.det) * math.cos(res.next.phi) / math.cos(x.phi)
         if 1.0 / jmu > eta:

@@ -116,7 +116,7 @@ def singular_set_samples(map_def, n_r=400, graze=1e-6, forward=False):
                 for r0 in rr:
                     try:
                         y = step(PhasePoint(j, float(r0), phi0)).next
-                    except Exception:
+                    except LorentzGasError:
                         continue
                     pts[y.scatterer].append((y.r, y.phi))
     out = []
@@ -355,7 +355,7 @@ def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
         try:
             y1 = T_forced.forward(
                 PhasePoint(int(idx[i]), float(rr[i]), float(pp[i]))).next
-        except Exception:
+        except LorentzGasError:
             continue
         if y1.scatterer != jj0[i]:
             continue

@@ -195,6 +195,26 @@ def test_pruned_search_equals_window_scan(make_cfg, cap):
             assert np.array_equal(a, b)
 
 
+def test_batch_resolves_flights_that_leave_the_window():
+    """At cap 50 on the infinite-horizon config, flights can leave the
+    7x7 cell window; the batch flies those on the scalar map."""
+    cfg = two_disk()
+    T50 = ClassicalMap(cfg, flight_cap=50.0)
+    rng = np.random.default_rng(7)
+    n = 20000
+    idx = rng.integers(0, len(cfg), n)
+    r = rng.random(n) * np.array([cfg[int(j)].L for j in idx])
+    phi = rng.uniform(-math.pi / 2, math.pi / 2, n)
+    jj, r1, p1, tau, ok = T50.forward_batch(idx, r, phi)
+    assert ok.all()
+    long = np.flatnonzero(tau > 3.0)
+    assert long.size
+    for k in long:
+        res = T50.forward(PhasePoint(int(idx[k]), float(r[k]), float(phi[k])))
+        assert (jj[k], r1[k], p1[k], tau[k]) == (
+            res.next.scatterer, res.next.r, res.next.phi, res.tau)
+
+
 def test_candidate_table_is_built_once_per_config(monkeypatch):
     """...and mapping in chunks leaves every point's image as it is."""
     calls = []

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from lorentzgas import ScattererConfig, ClassicalMap
+from lorentzgas import forced_dynamics
 from lorentzgas.classical_map import PhasePoint
 from lorentzgas.cli import fixture_path, load_forced
-from lorentzgas.forced_dynamics import (ForceField, KickMap, ForcedMap,
-                                        integrate_flight)
-from lorentzgas.errors import LorentzGasError, ValidationFailed
+from lorentzgas.forced_dynamics import (FlightTranscript, ForceField,
+                                        KickMap, ForcedMap, integrate_flight)
+from lorentzgas.errors import (LorentzGasError, NoCollision, NoConvergence,
+                               ValidationFailed)
 from lorentzgas.transfer_spectrum import sample_invariant
 
 
@@ -283,3 +287,153 @@ def test_round_trip_serialization():
     import json
     json.dumps(F.to_dict())
     json.dumps(standard_kick(1e-3).to_dict())
+
+
+# ----------------------------------------------------------------------
+# reference flight: solve_ivp with event detection, a whole-flight scan of
+# the dense output, and a second integration for the variations
+
+def _first_crossing(gap, sol, t_lo, t_hi, speed, coarse=4e-3, fine=2.0e-4):
+    if t_hi - t_lo <= fine:
+        return None
+    ts = np.linspace(t_lo, t_hi,
+                     max(int((t_hi - t_lo) / (coarse / max(speed, 1e-6))), 2)
+                     + 1)
+    g = gap.batch_min(sol.sol(ts)[0:2].T)
+    step = ts[1] - ts[0]
+    near = g < 1.5 * step * max(speed, 1e-6)
+    for i in np.nonzero(near[:-1] | near[1:])[0]:
+        tf = np.linspace(ts[i], ts[i + 1], max(int(step / fine), 2) + 1)
+        hit = np.nonzero(gap.batch_min(sol.sol(tf)[0:2].T) <= 0.0)[0]
+        if hit.size:
+            k = int(hit[0])
+            if k == 0:
+                return (max(t_lo, tf[0] - step), tf[0])
+            return (tf[k - 1], tf[k])
+    return None
+
+
+def _variation_rhs(force, y):
+    out = np.empty_like(y)
+    out[0:2] = y[2:4]
+    out[2:4] = force(y[0:2])
+    J = force.jac_q(y[0:2])
+    for k in range(4, y.size, 4):
+        out[k:k + 2] = y[k + 2:k + 4]
+        out[k + 2:k + 4] = J @ y[k:k + 2]
+    return out
+
+
+def _solve_ivp_flight(fmap, q0, p0, exclude=None, variations=None):
+    """integrate_flight as one solve_ivp call with a terminal event."""
+    force, gap = fmap.force, fmap._gap
+    if force.is_zero:
+        return forced_dynamics._straight_flight(fmap, q0, p0, exclude,
+                                                variations)
+    speed0 = np.linalg.norm(p0)
+    t_cap = fmap.flight_cap / max(speed0 * 0.5, 1e-6)
+
+    def rhs(_t, y):
+        f = force(y[0:2], y[2:4])
+        return np.array([y[2], y[3], f[0], f[1], math.hypot(y[2], y[3])])
+
+    dt0 = min(1e-3, 0.02 / speed0)
+    y = np.concatenate([q0, p0, [0.0]])
+    for _ in range(2):
+        h = dt0 / 2
+        k1 = rhs(0, y)
+        k2 = rhs(0, y + h / 2 * k1)
+        k3 = rhs(0, y + h / 2 * k2)
+        k4 = rhs(0, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if gap(y[0:2])[0] <= 0:
+        dt0, y = 0.0, np.concatenate([q0, p0, [0.0]])
+
+    def event(_t, yv):
+        return gap(yv[0:2])[0]
+    event.terminal = True
+    event.direction = -1
+
+    sol = solve_ivp(rhs, (dt0, t_cap), y, method="DOP853", events=event,
+                    dense_output=True, rtol=fmap.rtol, atol=fmap.atol,
+                    max_step=0.25)
+    f_of = lambda t: gap(sol.sol(t)[0:2])[0]
+    bracket = _first_crossing(gap, sol, dt0, sol.t[-1], speed0)
+    if bracket is not None:
+        t_hit = brentq(f_of, bracket[0], bracket[1], xtol=1e-13)
+    elif sol.t_events[0].size:
+        t_hit = float(sol.t_events[0][0])
+        lo = max(dt0, t_hit - 1e-3)
+        if f_of(lo) > 0:
+            try:
+                t_hit = brentq(f_of, lo, min(t_hit + 1e-6, sol.t[-1]),
+                               xtol=1e-13)
+            except ValueError:
+                pass
+    else:
+        raise NoCollision(tau=t_cap)
+    y1 = sol.sol(t_hit)
+    var1 = None
+    if variations is not None:
+        y0 = np.concatenate([q0, p0, *variations[0], *variations[1]])
+        yv = solve_ivp(lambda t, y: _variation_rhs(force, y), (0.0, t_hit),
+                       y0, method="DOP853", rtol=fmap.rtol, atol=fmap.atol,
+                       max_step=0.25).y[:, -1]
+        var1 = ((yv[4:6], yv[6:8]), (yv[8:10], yv[10:12]))
+    _, j, off = gap(y1[0:2])
+    return FlightTranscript(q0, p0, y1[0:2], y1[2:4], t_hit, j, off,
+                            float(y1[4]), force, variations=var1)
+
+
+def _round(TF, x):
+    """forward, backward of the image and step at x, or None."""
+    try:
+        fwd = TF.forward(x)
+        back = TF.backward(fwd.next)
+        res, J = TF.step(x)
+    except LorentzGasError:
+        return None
+    return fwd, back, res, J.m
+
+
+def test_stepping_loop_matches_solve_ivp_flight(monkeypatch):
+    """On the fixed 1000-point draw of forced_four_disk: forward and
+    backward agree with the reference flight to 1e-12, step's Jacobian to
+    1e-7 relative, and step's image (integrated with the variations in
+    the state) lies within 1e-9 of forward's."""
+    TF, _ = load_forced(fixture_path("forced_four_disk"), 50.0)
+    idx, r, phi = sample_invariant(TF.config, 1000, np.random.default_rng(1))
+    xs = [PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
+          for i in range(1000)]
+    new = [_round(TF, x) for x in xs]
+    monkeypatch.setattr(forced_dynamics, "integrate_flight",
+                        _solve_ivp_flight)
+    ref = [_round(TF, x) for x in xs]
+    assert [a is None for a in new] == [b is None for b in ref]
+    n = 0
+    for a, b in zip(new, ref):
+        if a is None:
+            continue
+        for u, v in ((a[0].next, b[0].next), (a[1].next, b[1].next)):
+            assert u.scatterer == v.scatterer
+            assert abs(u.r - v.r) <= 1e-12 and abs(u.phi - v.phi) <= 1e-12
+        assert abs(a[0].tau - b[0].tau) <= 1e-12
+        assert np.abs(a[3] - b[3]).max() <= 1e-7 * np.abs(b[3]).max()
+        y, z = a[2].next, a[0].next
+        assert y.scatterer == z.scatterer
+        assert abs(y.r - z.r) <= 1e-9 and abs(y.phi - z.phi) <= 1e-9
+        n += 1
+    assert n >= 990
+
+
+def test_failed_integration_is_no_convergence(monkeypatch):
+    """A solver that gives up raises the toolkit's NoConvergence."""
+    class Failing(forced_dynamics.DOP853):
+        def step(self):
+            self.status = "failed"
+            return "step size too small"
+
+    monkeypatch.setattr(forced_dynamics, "DOP853", Failing)
+    TF = ForcedMap(four_disk(), standard_force(1e-3))
+    with pytest.raises(NoConvergence):
+        TF.forward(PhasePoint(0, 0.3, 0.4))

@@ -46,6 +46,36 @@ def test_circle_basics():
     assert sc.curvature_r(0.1) == pytest.approx(4.0, rel=1e-12)
 
 
+def _six_newton_iterations(sc, r):
+    """theta_of_r as it was: always six Newton iterations."""
+    r = np.mod(np.asarray(r, dtype=float), sc.L)
+    th = np.interp(r, sc._inv_arc, sc._inv_theta)
+    for _ in range(6):
+        th = th - (sc.arclength(th) - r) / sc._speed(th)
+    return th
+
+
+@pytest.mark.parametrize("cos_coeffs", [(), (0.0, 0.02)],
+                         ids=["four_disk", "profile"])
+def test_theta_of_r_early_exit_is_exact(cos_coeffs, monkeypatch):
+    """Stopping Newton at a fixed point changes no bit of frame or
+    r_of_point, for scalar and array r."""
+    cfg = fixture_four_disk(cos_coeffs)
+    rng = np.random.default_rng(4)
+    for sc in cfg.scatterers:
+        rs = [float(r) for r in rng.uniform(-0.1, sc.L + 0.1, 50)]
+        rs.append(rng.uniform(0.0, sc.L, 2000))
+        new = [sc.frame(r) for r in rs]
+        with monkeypatch.context() as m:
+            m.setattr(sc, "theta_of_r",
+                      lambda r, sc=sc: _six_newton_iterations(sc, r))
+            old = [sc.frame(r) for r in rs]
+        for a, b in zip(new, old):
+            for u, v in zip(a, b):
+                assert np.array_equal(u, v)
+            assert np.array_equal(sc.r_of_point(a[0]), sc.r_of_point(b[0]))
+
+
 def test_curvature_against_dense_sampling():
     """Osculating-circle fit through dense boundary samples."""
     sc = build_scatterer([0.5, 0.5], 0.2, cos_coeffs=[0.0, 0.03],
