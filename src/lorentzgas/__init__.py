@@ -3,8 +3,8 @@ hyperbolicity measurements, and transfer-operator spectra."""
 
 __version__ = "0.1.0"
 
-from .geometry import (ScattererConfig, Scatterer, build_scatterer,
-                       config_metrics, deformation_distance)
+from .geometry import (ScattererConfig, Scatterer, config_metrics,
+                       deformation_distance)
 from .classical_map import (PhasePoint, CollisionResult, ClassicalMap,
                             free_flight, homogeneity_index,
                             singularity_distance)
@@ -28,7 +28,7 @@ from .transfer_spectrum import (UlamOperator, SpectrumResult, build_ulam,
                                 correlations, limit_stats)
 
 __all__ = [
-    "ScattererConfig", "Scatterer", "build_scatterer", "config_metrics",
+    "ScattererConfig", "Scatterer", "config_metrics",
     "deformation_distance", "PhasePoint", "CollisionResult", "ClassicalMap",
     "free_flight", "homogeneity_index", "singularity_distance",
     "ForceField", "KickMap", "ForcedMap", "integrate_flight",

@@ -348,33 +348,18 @@ class ClassicalMap:
 
     def step(self, x):
         """The forward step and its closed-form differential."""
-        cfg = self.config
         res = self.forward(x)
         y = res.next
-        tau = res.tau
-        K = cfg[x.scatterer].curvature_r(x.r)
-        K1 = cfg[y.scatterer].curvature_r(y.r)
-        c, c1 = np.cos(x.phi), np.cos(y.phi)
-        m = (-1.0 / c1) * np.array([
-            [tau * K + c, tau],
-            [K1 * (tau * K + c) + K * c1, tau * K1 + c1]])
+        K, K1 = (self.config[z.scatterer].curvature_r(z.r) for z in (x, y))
+        m = billiard_jacobian(res.tau, K, np.cos(x.phi), K1, np.cos(y.phi))
         return res, Jacobian2x2(m)
 
     def dt(self, x, direction="forward"):
-        """Closed-form one-step Jacobian in (dr, dphi) coordinates."""
-        if direction == "forward":
-            return self.step(x)[1]
-        cfg = self.config
-        res = self.backward(x)
-        y = res.next  # y = T^{-1} x
-        tau = res.tau
-        K = cfg[x.scatterer].curvature_r(x.r)
-        Km = cfg[y.scatterer].curvature_r(y.r)
-        c, cm = np.cos(x.phi), np.cos(y.phi)
-        m = (-1.0 / cm) * np.array([
-            [tau * K + c, -tau],
-            [-Km * (tau * K + c) - K * cm, tau * Km + cm]])
-        return Jacobian2x2(m)
+        """Closed-form one-step Jacobian in (dr, dphi) coordinates; the
+        backward one is the time-reversal conjugate of the forward one."""
+        if _is_backward(direction):
+            return Jacobian2x2(self.step(time_reverse(x))[1].m * _REVERSE)
+        return self.step(x)[1]
 
     # -- vectorized batch path ----------------------------------------------
 
@@ -393,7 +378,7 @@ class ClassicalMap:
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
         if not self.all_circles:
-            return self._forward_each(idx, r, phi)
+            return pointwise_images(self.forward, idx, r, phi)
         n = len(r)
         out = (np.zeros(n, dtype=int), np.zeros(n), np.zeros(n), np.zeros(n),
                np.zeros(n, dtype=bool))
@@ -406,7 +391,7 @@ class ClassicalMap:
         # only if it is at least two cells shorter than the window's reach
         miss = np.flatnonzero(~out[4])
         if miss.size and self.flight_cap + 2 > max_cells:
-            fix = self._forward_each(idx[miss], r[miss], phi[miss])
+            fix = pointwise_images(self.forward, idx[miss], r[miss], phi[miss])
             for o, x in zip(out, fix):
                 o[miss[fix[4]]] = x[fix[4]]
         return out
@@ -441,30 +426,108 @@ class ClassicalMap:
                           np.einsum("ij,ij->i", v_out, n1))
         return jj, r1, phi1, best_t, ok
 
-    def _forward_each(self, idx, r, phi):
-        """forward_batch through the scalar map, one point at a time."""
-        n = len(r)
-        jj = np.zeros(n, dtype=int)
-        r1 = np.zeros(n)
-        phi1 = np.zeros(n)
-        tau = np.full(n, np.inf)
-        ok = np.zeros(n, dtype=bool)
-        for k in range(n):
-            try:
-                res = self.forward(PhasePoint(int(idx[k]), float(r[k]),
-                                              float(phi[k])))
-            except LorentzGasError:
-                continue
-            jj[k], r1[k], phi1[k] = res.next.scatterer, res.next.r, res.next.phi
-            tau[k] = res.tau
-            ok[k] = True
-        return jj, r1, phi1, tau, ok
-
     def backward_batch(self, idx, r, phi, max_cells=3):
         """Vectorized backward map (time reversal of the forward batch)."""
         jj, r1, phi1, tau, ok = self.forward_batch(idx, np.asarray(r),
                                                    -np.asarray(phi), max_cells)
         return jj, r1, -phi1, tau, ok
+
+    def step_batch(self, idx, r, phi, direction="forward"):
+        """The step of arrays of phase points with its differentials.
+
+        Returns (idx1, r1, phi1, tau, J, ok): the forward_batch (or, for
+        direction="backward", backward_batch) images and flights, and J
+        (n, 2, 2) the closed-form differential of that map at each point,
+        NaN where ok is False.
+        """
+        back = _is_backward(direction)
+        idx = np.asarray(idx, dtype=int)
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        jj, r1, phi1, tau, ok = (self.backward_batch if back
+                                 else self.forward_batch)(idx, r, phi)
+        J = billiard_jacobian(np.where(ok, tau, 0.0),
+                              curvature_at(self.config, idx, r), np.cos(phi),
+                              curvature_at(self.config, jj, r1), np.cos(phi1))
+        if back:
+            J = J * _REVERSE
+        J[~ok] = np.nan
+        return jj, r1, phi1, tau, J, ok
+
+
+# ---------------------------------------------------------------------------
+# differentials and point-by-point batches
+
+# diag(1, -1) J diag(1, -1) = J * _REVERSE: the differential of the inverse
+# map at x is that of the forward map at the time reverse (r, -phi) of x,
+# conjugated by the time reversal
+_REVERSE = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _is_backward(direction):
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', "
+                         f"not {direction!r}")
+    return direction == "backward"
+
+
+def billiard_jacobian(tau, K, cos0, K1, cos1):
+    """Closed-form differential of the billiard map in (dr, dphi).
+
+    The flight of length tau leaves a boundary point of curvature K at
+    cos(phi) = cos0 and lands on one of curvature K1 at cos(phi1) = cos1.
+    Broadcasts over arrays; returns shape (..., 2, 2).
+    """
+    a = tau * K + cos0
+    f = -1.0 / cos1
+    return np.stack([np.stack([f * a, f * tau], axis=-1),
+                     np.stack([f * (K1 * a + K * cos1), f * (tau * K1 + cos1)],
+                              axis=-1)], axis=-2)
+
+
+def curvature_at(config, idx, r):
+    """Boundary curvature at arrays of (scatterer index, arclength)."""
+    K = np.empty(len(r))
+    for j, sc in enumerate(config.scatterers):
+        sel = idx == j
+        if sel.any():
+            K[sel] = sc.curvature_r(r[sel])
+    return K
+
+
+def pointwise(step, idx, r, phi):
+    """A batch step of a scalar map, one point at a time.
+
+    step(x) returns (CollisionResult, Jacobian2x2 or None).  Returns
+    (idx1, r1, phi1, tau, J, ok) as step_batch does: where step raises a
+    LorentzGasError, ok is False, tau inf and J NaN.
+    """
+    n = len(r)
+    jj = np.zeros(n, dtype=int)
+    r1 = np.zeros(n)
+    phi1 = np.zeros(n)
+    tau = np.full(n, np.inf)
+    J = np.full((n, 2, 2), np.nan)
+    ok = np.zeros(n, dtype=bool)
+    for k in range(n):
+        try:
+            res, jac = step(PhasePoint(int(idx[k]), float(r[k]),
+                                       float(phi[k])))
+        except LorentzGasError:
+            continue
+        jj[k], r1[k], phi1[k] = res.next.scatterer, res.next.r, res.next.phi
+        tau[k] = res.tau
+        if jac is not None:
+            J[k] = jac.m
+        ok[k] = True
+    return jj, r1, phi1, tau, J, ok
+
+
+def pointwise_images(fmap, idx, r, phi):
+    """forward_batch's (idx1, r1, phi1, tau, ok) of a scalar map fmap(x)."""
+    jj, r1, phi1, tau, _, ok = pointwise(lambda x: (fmap(x), None),
+                                         idx, r, phi)
+    return jj, r1, phi1, tau, ok
 
 
 # ---------------------------------------------------------------------------

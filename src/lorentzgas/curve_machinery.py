@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import (CurveNotHomogeneous, DisjointIntervals, LorentzGasError,
+from .errors import (CurveNotHomogeneous, DisjointIntervals,
                      RefinementBudgetExceeded, ValidationFailed)
 from .classical_map import PhasePoint, homogeneity_index, DEFAULT_K0
 
@@ -239,63 +239,28 @@ class _PullSampler:
     def __init__(self, map_def, curve):
         self.map_def = map_def
         self.curve = curve
-        self.is_classical = hasattr(map_def, "forward_batch")
 
     def batch(self, rs):
-        """Sample many parameters at once (vectorized for circle configs)."""
+        """(preimage point, one-step Jacobian of T along the preimage), or
+        None where the inverse step fails or either end is within the
+        grazing tolerance, for each curve parameter in rs."""
         rs = np.asarray(rs, dtype=float)
-        if not (self.is_classical and getattr(self.map_def, "all_circles",
-                                              False)):
-            return [self(r) for r in rs]
-        cfg = self.map_def.config
         xphi = np.asarray(self.curve.phi_at(rs), dtype=float)
         slope = np.asarray(self.curve.slope_at(rs), dtype=float)
         idx = np.full(rs.size, self.curve.scatterer, dtype=int)
-        jj, yr, yphi, tau, ok = self.map_def.backward_batch(idx, rs, xphi)
+        jj, yr, yphi, _, A, ok = self.map_def.step_batch(
+            idx, rs, xphi, direction="backward")
         tol = self.map_def.grazing_tol
         ok = ok & (np.pi / 2 - np.abs(xphi) > tol) \
                 & (np.pi / 2 - np.abs(yphi) > tol)
-        Rs = np.array([s.R for s in cfg.scatterers])
-        K = 1.0 / Rs[idx]
-        Km = 1.0 / Rs[jj]
-        c, cm = np.cos(xphi), np.cos(yphi)
-        a11 = tau * K + c
-        u1 = (-1.0 / cm) * (a11 - tau * slope)
-        u2 = (-1.0 / cm) * (-(Km * a11 + K * cm) + (tau * Km + cm) * slope)
+        u1 = A[:, 0, 0] + A[:, 0, 1] * slope
+        u2 = A[:, 1, 0] + A[:, 1, 1] * slope
         jac = np.hypot(1.0, slope) / np.hypot(u1, u2)
-        out = []
-        for i in range(rs.size):
-            if not ok[i]:
-                # long flight outside the vectorized window: scalar retry
-                out.append(self(rs[i]))
-            else:
-                out.append((PhasePoint(int(jj[i]), float(yr[i]),
-                                       float(yphi[i])), float(jac[i])))
-        return out
+        return [(PhasePoint(int(jj[i]), float(yr[i]), float(yphi[i])),
+                 float(jac[i])) if ok[i] else None for i in range(rs.size)]
 
     def __call__(self, r):
-        """(preimage point, one-step Jacobian of T along the preimage) or None."""
-        x = self.curve.point(float(r))
-        try:
-            res = self.map_def.backward(x)
-        except LorentzGasError:
-            return None
-        y = res.next
-        v = np.array([1.0, float(self.curve.slope_at(r))])
-        if self.is_classical:
-            cfg = self.map_def.config
-            K = cfg[x.scatterer].curvature_r(x.r)
-            Km = cfg[y.scatterer].curvature_r(y.r)
-            c, cm = math.cos(x.phi), math.cos(y.phi)
-            tau = res.tau
-            Dinv = (-1.0 / cm) * np.array([
-                [tau * K + c, -tau],
-                [-Km * (tau * K + c) - K * cm, tau * Km + cm]])
-            u = Dinv @ v
-        else:
-            u = np.linalg.solve(self.map_def.dt(y).m, v)
-        jac1 = float(np.linalg.norm(v) / np.linalg.norm(u))
-        return y, jac1
+        return self.batch([r])[0]
 
 
 def _pull_node(map_def, node, delta0, k0, n_probe=64, budget=400):

@@ -17,7 +17,8 @@ from scipy.optimize import brentq
 from .errors import (EnergyDrift, KickEjected, NoCollision, NoConvergence,
                      SingularityTooClose, Tangential, ValidationFailed)
 from .classical_map import (CollisionResult, PhasePoint, Jacobian2x2,
-                            GRAZING_TOL, FD_GUARD)
+                            GRAZING_TOL, FD_GUARD, _is_backward, pointwise,
+                            pointwise_images)
 
 TWO_PI = 2.0 * math.pi
 
@@ -326,12 +327,12 @@ class ForcedMap:
 
     def _launch(self, x, offset=(0, 0)):
         """Plane position and momentum for an outgoing phase point, on the
-        energy-1/2 level at the lattice image `offset` of the base point."""
-        s = self.config[x.scatterer]
-        q, t, n, _K = s.frame(x.r)
+        energy-1/2 level at the lattice image `offset` of the base point,
+        and the boundary frame (t, n, K) there."""
+        q, t, n, K = self.config[x.scatterer].frame(x.r)
         v = math.cos(x.phi) * n + math.sin(x.phi) * t
         speed = self.force.launch_speed(q + offset)
-        return q, speed * v
+        return q, speed * v, (t, n, K)
 
     def forward(self, x):
         """One step of the forced map with kick."""
@@ -340,8 +341,9 @@ class ForcedMap:
     def _fly(self, x, offset, kick, variations=False):
         if math.pi / 2 - abs(x.phi) < self.grazing_tol:
             raise Tangential("outgoing direction within grazing tolerance")
-        q0, p0 = self._launch(x, offset)
-        var = self._launch_variations(x, q0, p0) if variations else None
+        q0, p0, frame = self._launch(x, offset)
+        var = (self._launch_variations(x, q0, p0, frame) if variations
+               else None)
         tr = integrate_flight(self, q0, p0, exclude=(x.scatterer, (0, 0)),
                               variations=var)
         return self._land(tr, kick)
@@ -392,14 +394,36 @@ class ForcedMap:
         raise NoConvergence("kick inverse exhausted its budget")
 
     # ------------------------------------------------------------------
+    # batches, point by point
+
+    def forward_batch(self, idx, r, phi):
+        """forward of arrays of phase points: (idx1, r1, phi1, tau, ok)."""
+        return pointwise_images(self.forward, idx, r, phi)
+
+    def backward_batch(self, idx, r, phi):
+        """backward of arrays of phase points: (idx1, r1, phi1, tau, ok)."""
+        return pointwise_images(self.backward, idx, r, phi)
+
+    def step_batch(self, idx, r, phi, direction="forward"):
+        """step (or, for direction="backward", the inverse step) of arrays
+        of phase points: (idx1, r1, phi1, tau, J, ok), J NaN where not ok."""
+        return pointwise(self._step_back if _is_backward(direction)
+                         else self.step, idx, r, phi)
+
+    # ------------------------------------------------------------------
     # differential
 
     def dt(self, x, direction="forward"):
         """Differential of the map, exact at integrator tolerance."""
-        if direction == "backward":
-            pre = self.backward(x).next
-            return Jacobian2x2(np.linalg.inv(self.dt(pre).m))
+        if _is_backward(direction):
+            return self._step_back(x)[1]
         return self.step(x)[1]
+
+    def _step_back(self, x):
+        """The inverse step: the preimage, and the inverse of the forward
+        differential there."""
+        res = self.backward(x)
+        return res, Jacobian2x2(np.linalg.inv(self.step(res.next)[1].m))
 
     def step(self, x):
         """The forward step and its differential, from one flight."""
@@ -409,19 +433,21 @@ class ForcedMap:
         if res.grazing_margin < FD_GUARD:
             raise SingularityTooClose("image within guard of grazing")
         tr = res.transcript
-        M = np.column_stack([self._collision_coords(tr, dq, dp)
+        # the landing frame, at the r1 of apply_reflection
+        pre = res.pre_kick
+        frame1 = self.config[pre.scatterer].frame(pre.r)[1:]
+        M = np.column_stack([self._collision_coords(tr, frame1, dq, dp)
                              for dq, dp in tr.variations])
         if not self.kick.is_zero:
-            pre = res.pre_kick
             G = np.eye(2) + self.kick.dg(pre.r, pre.phi,
                                          self.config[pre.scatterer].L)
             M = G @ M
         return res, Jacobian2x2(M)
 
-    def _launch_variations(self, x, q0, p0):
-        """Exact (dq, dp) flow variations for the basis vectors d/dr, d/dphi."""
-        s = self.config[x.scatterer]
-        _q, t, n, K = s.frame(x.r)
+    def _launch_variations(self, x, q0, p0, frame):
+        """Exact (dq, dp) flow variations for the basis vectors d/dr, d/dphi,
+        given the boundary frame (t, n, K) at x."""
+        t, n, K = frame
         speed = np.linalg.norm(p0)
         vhat = p0 / speed
         F = self.force(q0, p0)
@@ -435,12 +461,10 @@ class ForcedMap:
         dp_p = speed * (-sphi * n + cphi * t)
         return (dq_r, dp_r), (dq_p, dp_p)
 
-    def _collision_coords(self, tr, dq, dp):
-        """Convert an endpoint flow variation to (dr1, dphi1) at the image."""
-        s = self.config[tr.scatterer]
-        q_loc = tr.q1 - tr.offset
-        r1 = s.r_of_point(q_loc)
-        _pt, t, n, K1 = s.frame(r1)
+    def _collision_coords(self, tr, frame1, dq, dp):
+        """Convert an endpoint flow variation to (dr1, dphi1) at the image,
+        given the landing frame (t, n, K1)."""
+        t, n, K1 = frame1
         p_minus = tr.p1
         F1 = self.force(tr.q1, p_minus)
         # collision-time shift keeping the perturbed point on the boundary

@@ -197,11 +197,6 @@ class Scatterer:
                 "rotation": self.rotation}
 
 
-def build_scatterer(center, R, cos_coeffs=(), sin_coeffs=(), rotation=0.0):
-    """Validated scatterer constructor."""
-    return Scatterer(center, R, cos_coeffs, sin_coeffs, rotation)
-
-
 class ScattererConfig:
     """Ordered, pairwise-disjoint scatterers on the unit torus."""
 
@@ -251,8 +246,8 @@ class ScattererConfig:
                 raise ValidationFailed("kind", f"unknown scatterer kind {kind!r}")
             if kind == "circle" and (np.any(cos_c) or np.any(sin_c)):
                 raise ValidationFailed("kind", "circle with profile coefficients")
-            scs.append(build_scatterer(s["center"], s["R"], cos_c, sin_c,
-                                       s.get("rotation", 0.0)))
+            scs.append(Scatterer(s["center"], s["R"], cos_c, sin_c,
+                                 s.get("rotation", 0.0)))
         return cls(scs)
 
     @classmethod

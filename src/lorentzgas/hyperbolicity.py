@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveNotHomogeneous, LorentzGasError, ValidationFailed
-from .classical_map import PhasePoint, homogeneity_index, DEFAULT_K0
-from .curve_machinery import (NormParams, StableCurve, pullback_generation,
-                              sample_stable_curves, strip_indices)
+from .errors import LorentzGasError, ValidationFailed
+from .classical_map import PhasePoint, curvature_at, homogeneity_index
+from .curve_machinery import (NormParams, pullback_generation,
+                              sample_stable_curves)
 
 
 @dataclass
@@ -102,128 +102,73 @@ def _sample_points(config, n, seed, margin=1e-3):
     return idx, r, phi
 
 
-def _batch_step(map_def, idx, r, phi):
-    """(K, K1, cosphi, cosphi1, tau, slope map fn, ok) for circle configs."""
-    cfg = map_def.config
-    jj, r1, phi1, tau, ok = map_def.forward_batch(idx, r, phi)
-    ok = ok & (math.pi / 2 - np.abs(phi1) > 1e-9)
-    Rs = np.array([s.R for s in cfg.scatterers])
-    K = 1.0 / Rs[idx]
-    K1 = 1.0 / Rs[jj]
-    return jj, r1, phi1, tau, K, K1, ok
+def _sampled_steps(map_def, n_samples, seed):
+    """Sample points and their step_batch images and differentials; ok
+    also drops images within 1e-9 of grazing."""
+    idx, r, phi = _sample_points(map_def.config, n_samples, seed)
+    jj, r1, phi1, _, J, ok = map_def.step_batch(idx, r, phi)
+    ok &= math.pi / 2 - np.abs(phi1) > 1e-9
+    return idx, r, phi, jj, r1, phi1, J, ok
 
 
-def _image_data_scalar(map_def, x):
-    res, J = map_def.step(x)
-    y = res.next
-    K = float(map_def.config[x.scatterer].curvature_r(x.r))
-    K1 = float(map_def.config[y.scatterer].curvature_r(y.r))
-    return y, J.m, K, K1
+def _images(J, s):
+    """Components (u0, u1) of J @ (1, s) for a stack of differentials."""
+    return J[:, 0, 0] + J[:, 0, 1] * s, J[:, 1, 0] + J[:, 1, 1] * s
 
 
 def check_cone_invariance(map_def, cone, n_samples=10000, seed=0,
                           margin_frac=0.0):
     """Strict invariance of an unstable cone under the map differential."""
-    cfg = map_def.config
-    slopes = cone.sample_slopes()
+    idx, r, phi, _, _, _, J, ok = _sampled_steps(map_def, n_samples, seed)
     failures = 0
     worst = {"margin": math.inf, "point": None}
     checked = 0
-    if hasattr(map_def, "forward_batch") and getattr(map_def, "all_circles",
-                                                     False):
-        idx, r, phi = _sample_points(cfg, n_samples, seed)
-        jj, r1, phi1, tau, K, K1, ok = _batch_step(map_def, idx, r, phi)
-        c, c1 = np.cos(phi), np.cos(phi1)
-        for s in slopes:
-            a = tau * K + c + tau * s
-            b = K1 * (tau * K + c) + K * c1 + (tau * K1 + c1) * s
-            V1 = np.where(ok, b / a, 0.0)
-            inside = cone.contains(V1, margin=margin_frac)
-            bad = ok & ~inside
-            failures += int(bad.sum())
-            checked += int(ok.sum())
-            m = np.where(ok, np.minimum(V1 - cone.slope_lo,
-                                        cone.slope_hi - V1), math.inf)
-            i = int(np.argmin(m))
-            if m[i] < worst["margin"]:
-                worst = {"margin": float(m[i]),
-                         "point": (int(idx[i]), float(r[i]), float(phi[i]),
-                                   float(s))}
-    else:
-        rng = np.random.default_rng(seed)
-        idx, r, phi = _sample_points(cfg, n_samples, seed)
-        for i in range(n_samples):
-            x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-            try:
-                y, J, K, K1 = _image_data_scalar(map_def, x)
-            except LorentzGasError:
-                continue
-            for s in slopes:
-                u = J @ np.array([1.0, s])
-                if u[0] == 0:
-                    failures += 1
-                    continue
-                V1 = u[1] / u[0]
-                checked += 1
-                m = min(V1 - cone.slope_lo, cone.slope_hi - V1)
-                if m < worst["margin"]:
-                    worst = {"margin": float(m),
-                             "point": (x.scatterer, x.r, x.phi, float(s))}
-                if not cone.contains(V1, margin=margin_frac):
-                    failures += 1
+    for s in cone.sample_slopes():
+        u0, u1 = _images(J, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V1 = np.where(ok, u1 / u0, 0.0)
+        inside = cone.contains(V1, margin=margin_frac)
+        failures += int((ok & ~inside).sum())
+        checked += int(ok.sum())
+        m = np.where(ok, np.minimum(V1 - cone.slope_lo, cone.slope_hi - V1),
+                     math.inf)
+        i = int(np.argmin(m))
+        if m[i] < worst["margin"]:
+            worst = {"margin": float(m[i]),
+                     "point": (int(idx[i]), float(r[i]), float(phi[i]),
+                               float(s))}
     return {"failures": failures, "checked": checked, "worst": worst}
 
 
 def expansion_stats(map_def, cone, n_samples=10000, seed=0):
     """One-step adapted-norm expansion over the unstable cone, plus the
     grazing law expansion * cos(phi1) ~ const."""
-    cfg = map_def.config
-    slopes = cone.sample_slopes()
+    idx, r, phi, jj, r1, phi1, J, ok = _sampled_steps(map_def, n_samples,
+                                                      seed)
+    K = curvature_at(map_def.config, idx, r)
+    K1 = curvature_at(map_def.config, jj, r1)
+    c1 = np.cos(phi1)
     lam_min = math.inf
     worst = None
     log_ratio = []
     log_cos1 = []
-    if hasattr(map_def, "forward_batch") and getattr(map_def, "all_circles",
-                                                     False):
-        idx, r, phi = _sample_points(cfg, n_samples, seed)
-        jj, r1, phi1, tau, K, K1, ok = _batch_step(map_def, idx, r, phi)
-        c, c1 = np.cos(phi), np.cos(phi1)
-        for s in slopes:
-            a = (tau * K + c + tau * s) / c1  # |u_dr| up to sign
-            b = (K1 * (tau * K + c) + K * c1 + (tau * K1 + c1) * s) / c1
-            V1 = np.where(a != 0, b / np.where(a != 0, a, 1.0), np.inf)
-            f = np.where(ok, (K1 + np.abs(V1)) * np.abs(a) / (K + abs(s)),
-                         np.inf)
-            i = int(np.argmin(f))
-            if f[i] < lam_min:
-                lam_min = float(f[i])
-                worst = (int(idx[i]), float(r[i]), float(phi[i]), float(s))
-            eucl = np.abs(a) * np.sqrt(1 + V1 ** 2) / math.sqrt(1 + s * s)
-            sel = ok & np.isfinite(eucl)
-            log_ratio.append(np.log(eucl[sel] * c1[sel]))
-            log_cos1.append(np.log(c1[sel]))
-    else:
-        idx, r, phi = _sample_points(cfg, n_samples, seed)
-        for i in range(n_samples):
-            x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-            try:
-                y, J, K, K1 = _image_data_scalar(map_def, x)
-            except LorentzGasError:
-                continue
-            for s in slopes:
-                v = np.array([1.0, s])
-                u = J @ v
-                num = adapted_norm(y, u, cfg)
-                den = adapted_norm(x, v, cfg)
-                f = num / den
-                if f < lam_min:
-                    lam_min = float(f)
-                    worst = (x.scatterer, x.r, x.phi, float(s))
-                eucl = np.linalg.norm(u) / np.linalg.norm(v)
-                log_ratio.append([math.log(eucl * math.cos(y.phi))])
-                log_cos1.append([math.log(math.cos(y.phi))])
-    ly = np.concatenate([np.atleast_1d(v) for v in log_ratio])
-    lx = np.concatenate([np.atleast_1d(v) for v in log_cos1])
+    for s in cone.sample_slopes():
+        u0, u1 = _images(J, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V1 = np.where(u0 != 0, u1 / u0, np.inf)
+        # adapted norm (K + |V|) |du_r| of the image over that of (1, s)
+        f = np.where(ok, (K1 + np.abs(V1)) * np.abs(u0) / (K + abs(s)),
+                     np.inf)
+        i = int(np.argmin(f))
+        if f[i] < lam_min:
+            lam_min = float(f[i])
+            worst = (int(idx[i]), float(r[i]), float(phi[i]), float(s))
+        eucl = np.hypot(u0, u1) / math.sqrt(1 + s * s)
+        sel = ok & np.isfinite(eucl)
+        log_ratio.append(np.log(eucl[sel] * c1[sel]))
+        log_cos1.append(np.log(c1[sel]))
+    ly = np.concatenate(log_ratio)
+    lx = np.concatenate(log_cos1)
     slope_fit, intercept = np.polyfit(lx, ly, 1)
     band = float(np.max(np.abs(ly - np.median(ly))))
     return {"Lambda_measured": lam_min, "worst": worst,
@@ -455,21 +400,15 @@ def curvature_propagation(map_def, curve_pts, n=4, centers=5, img_span=2e-3):
 
 def measure_jacobian_bound(map_def, n_samples=5000, seed=0):
     """Measured max of (J_mu T)^{-1}; equals 1 for the classical map."""
-    cfg = map_def.config
-    idx, r, phi = _sample_points(cfg, n_samples, seed)
-    eta = 0.0
-    worst = None
-    for i in range(n_samples):
-        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-        try:
-            res, J = map_def.step(x)
-        except LorentzGasError:
-            continue
-        jmu = abs(J.det) * math.cos(res.next.phi) / math.cos(x.phi)
-        if 1.0 / jmu > eta:
-            eta = 1.0 / jmu
-            worst = (x.scatterer, x.r, x.phi)
-    return {"eta_measured": eta, "worst": worst}
+    idx, r, phi = _sample_points(map_def.config, n_samples, seed)
+    _, _, phi1, _, J, ok = map_def.step_batch(idx, r, phi)
+    jmu = np.abs(np.linalg.det(J)) * np.cos(phi1) / np.cos(phi)
+    inv = np.where(ok, 1.0 / jmu, 0.0)
+    i = int(np.argmax(inv))
+    if not inv[i] > 0.0:
+        return {"eta_measured": 0.0, "worst": None}
+    return {"eta_measured": float(inv[i]),
+            "worst": (int(idx[i]), float(r[i]), float(phi[i]))}
 
 
 def verify_hypotheses(map_def, metrics, params=None, n_samples=20000,

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import LorentzGasError, PhaseSpaceMismatch
+from .errors import PhaseSpaceMismatch
 from .geometry import config_metrics
-from .classical_map import PhasePoint
 
 __all__ = ["DistanceReport", "map_distance", "singular_set_samples",
            "forced_displacement", "geometric_scaling_checks"]
@@ -67,58 +66,43 @@ def singular_set_samples(map_def, n_r=400, graze=1e-6, forward=False):
     the angle coordinate.
     """
     cfg = map_def.config
-    if forward and hasattr(map_def, "forward_batch") and getattr(
-            map_def, "all_circles", False):
-        # time reversal: the preimage of the grazing set is the
-        # angle-flip of its image
-        out = singular_set_samples(map_def, n_r=n_r, graze=graze)
-        return [p * [1.0, -1.0] if p.size else p for p in out]
+    push = map_def.backward_batch if forward else map_def.forward_batch
+    # the preimage set lists the angle flips of the image set's points in
+    # the image set's order
+    signs = (-1.0, 1.0) if forward else (1.0, -1.0)
     pts = [[] for _ in cfg.scatterers]
-    batch = (not forward and hasattr(map_def, "forward_batch")
-             and getattr(map_def, "all_circles", False))
     for j, sc in enumerate(cfg.scatterers):
-        for sgn in (1.0, -1.0):
+        for sgn in signs:
             phi0 = sgn * (math.pi / 2 - graze)
-            if batch:
-                rr = np.linspace(0.0, sc.L, n_r, endpoint=False)
-                jj, r1, p1, tau, ok = map_def.forward_batch(
-                    np.full(rr.size, j), rr, np.full(rr.size, phi0))
-                # bisect gaps between adjacent image points until the
-                # curve is resolved to the refinement tolerance
-                for _round in range(10):
-                    if rr.size > 60000:
-                        break
-                    L1 = np.array([cfg[int(k)].L for k in jj])
-                    dr = np.abs(np.diff(r1))
-                    dr = np.minimum(dr, L1[:-1] - dr)
-                    gap = np.hypot(dr, np.diff(p1))
-                    need = ok[:-1] & ok[1:] & (
-                        (jj[:-1] != jj[1:]) | (gap > 5e-3))
-                    need &= np.diff(rr) > sc.L * 1e-7
-                    if not np.any(need):
-                        break
-                    mids = 0.5 * (rr[:-1][need] + rr[1:][need])
-                    jm, rm, pm_, tm, om = map_def.forward_batch(
-                        np.full(mids.size, j), mids,
-                        np.full(mids.size, phi0))
-                    rr = np.concatenate([rr, mids])
-                    order = np.argsort(rr)
-                    rr = rr[order]
-                    jj = np.concatenate([jj, jm])[order]
-                    r1 = np.concatenate([r1, rm])[order]
-                    p1 = np.concatenate([p1, pm_])[order]
-                    ok = np.concatenate([ok, om])[order]
-                for k in np.nonzero(ok)[0]:
-                    pts[int(jj[k])].append((float(r1[k]), float(p1[k])))
-            else:
-                rr = np.linspace(0.0, sc.L, n_r, endpoint=False)
-                step = map_def.backward if forward else map_def.forward
-                for r0 in rr:
-                    try:
-                        y = step(PhasePoint(j, float(r0), phi0)).next
-                    except LorentzGasError:
-                        continue
-                    pts[y.scatterer].append((y.r, y.phi))
+            rr = np.linspace(0.0, sc.L, n_r, endpoint=False)
+            jj, r1, p1, _, ok = push(np.full(rr.size, j), rr,
+                                     np.full(rr.size, phi0))
+            # bisect gaps between adjacent image points until the curve
+            # is resolved to the refinement tolerance
+            for _round in range(10):
+                if rr.size > 60000:
+                    break
+                L1 = cfg.lengths[jj]
+                dr = np.abs(np.diff(r1))
+                dr = np.minimum(dr, L1[:-1] - dr)
+                gap = np.hypot(dr, np.diff(p1))
+                need = ok[:-1] & ok[1:] & (
+                    (jj[:-1] != jj[1:]) | (gap > 5e-3))
+                need &= np.diff(rr) > sc.L * 1e-7
+                if not np.any(need):
+                    break
+                mids = 0.5 * (rr[:-1][need] + rr[1:][need])
+                jm, rm, pm_, _, om = push(np.full(mids.size, j), mids,
+                                         np.full(mids.size, phi0))
+                rr = np.concatenate([rr, mids])
+                order = np.argsort(rr)
+                rr = rr[order]
+                jj = np.concatenate([jj, jm])[order]
+                r1 = np.concatenate([r1, rm])[order]
+                p1 = np.concatenate([p1, pm_])[order]
+                ok = np.concatenate([ok, om])[order]
+            for k in np.nonzero(ok)[0]:
+                pts[int(jj[k])].append((float(r1[k]), float(p1[k])))
     out = []
     for j, lst in enumerate(pts):
         out.append(np.array(lst, dtype=float).reshape(-1, 2))
@@ -168,40 +152,24 @@ def _inverse_data(map_def, idx, r, phi):
     of the inverse map at the grid point and jmu the measure Jacobian of
     the forward map evaluated at the preimage.
     """
-    n = idx.size
-    cfg = map_def.config
-    A = np.full((n, 2, 2), np.nan)
-    jmu = np.full(n, np.nan)
-    if hasattr(map_def, "backward_batch") and getattr(
-            map_def, "all_circles", False):
-        jj, rb, pb, tau, ok = map_def.backward_batch(idx, r, phi)
-        Rs = np.array([s.R for s in cfg.scatterers])
-        K = 1.0 / Rs[idx]
-        Km = 1.0 / Rs[np.where(ok, jj, 0)]
-        c, cm = np.cos(phi), np.cos(pb)
-        a11 = tau * K + c
-        A[:, 0, 0] = (-1.0 / cm) * a11
-        A[:, 0, 1] = (-1.0 / cm) * (-tau)
-        A[:, 1, 0] = (-1.0 / cm) * (-Km * a11 - K * cm)
-        A[:, 1, 1] = (-1.0 / cm) * (tau * Km + cm)
-        jmu[ok] = 1.0
-        return jj, rb, pb, A, jmu, ok
-    jj = np.zeros(n, dtype=int)
-    rb = np.full(n, np.nan)
-    pb = np.full(n, np.nan)
-    ok = np.zeros(n, dtype=bool)
-    for i in range(n):
-        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-        try:
-            y = map_def.backward(x).next
-            m = map_def.dt(y).m
-            A[i] = np.linalg.inv(m)
-            jmu[i] = abs(np.linalg.det(m)) * math.cos(x.phi) / math.cos(y.phi)
-            jj[i], rb[i], pb[i] = y.scatterer, y.r, y.phi
-            ok[i] = True
-        except LorentzGasError:
-            pass
+    jj, rb, pb, _, A, ok = map_def.step_batch(idx, r, phi,
+                                              direction="backward")
+    jmu = np.cos(phi) / (np.abs(np.linalg.det(A)) * np.cos(pb))
     return jj, rb, pb, A, jmu, ok
+
+
+def _phase_grid(cfg, grid):
+    """Box centers of a grid x grid partition of each scatterer's (r, phi)
+    rectangle: flat (idx, r, phi) arrays."""
+    idx, rr, pp = [], [], []
+    for j, sc in enumerate(cfg.scatterers):
+        r = (np.arange(grid) + 0.5) * sc.L / grid
+        phi = -math.pi / 2 + (np.arange(grid) + 0.5) * math.pi / grid
+        R, P = np.meshgrid(r, phi, indexing="ij")
+        idx.append(np.full(R.size, j))
+        rr.append(R.ravel())
+        pp.append(P.ravel())
+    return np.concatenate(idx), np.concatenate(rr), np.concatenate(pp)
 
 
 def stable_cone_directions(metrics, n_dirs=64):
@@ -228,17 +196,7 @@ def map_distance(T1, T2, grid=256, eps_grid=None, n_dirs=64,
     eps_grid = list(eps_grid) if eps_grid is not None else default_eps_grid()
     eps_grid = sorted(eps_grid)
 
-    idx, rr, pp = [], [], []
-    for j, sc in enumerate(cfg.scatterers):
-        r = (np.arange(grid) + 0.5) * sc.L / grid
-        phi = -math.pi / 2 + (np.arange(grid) + 0.5) * math.pi / grid
-        R, P = np.meshgrid(r, phi, indexing="ij")
-        idx.append(np.full(R.size, j))
-        rr.append(R.ravel())
-        pp.append(P.ravel())
-    idx = np.concatenate(idx)
-    rr = np.concatenate(rr)
-    pp = np.concatenate(pp)
+    idx, rr, pp = _phase_grid(cfg, grid)
 
     sd1 = _SingularDistance(cfg, singular_set_samples(T1, n_r=sing_samples))
     sd2 = _SingularDistance(T2.config,
@@ -330,17 +288,7 @@ def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
     within sqrt(eps) of the forward singular set of either map.
     """
     cfg = T0.config
-    idx, rr, pp = [], [], []
-    for j, sc in enumerate(cfg.scatterers):
-        r = (np.arange(grid) + 0.5) * sc.L / grid
-        phi = -math.pi / 2 + (np.arange(grid) + 0.5) * math.pi / grid
-        R, P = np.meshgrid(r, phi, indexing="ij")
-        idx.append(np.full(R.size, j))
-        rr.append(R.ravel())
-        pp.append(P.ravel())
-    idx = np.concatenate(idx)
-    rr = np.concatenate(rr)
-    pp = np.concatenate(pp)
+    idx, rr, pp = _phase_grid(cfg, grid)
 
     sd0 = _SingularDistance(cfg, singular_set_samples(
         T0, n_r=sing_samples, forward=True))
@@ -348,25 +296,16 @@ def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
     band = math.sqrt(eps)
     keep = sing > band
 
-    worst = 0.0
-    n_used = 0
-    jj0, r0, p0, tau0, ok0 = T0.forward_batch(idx, rr, pp)
-    for i in np.nonzero(keep & ok0)[0]:
-        try:
-            y1 = T_forced.forward(
-                PhasePoint(int(idx[i]), float(rr[i]), float(pp[i]))).next
-        except LorentzGasError:
-            continue
-        if y1.scatterer != jj0[i]:
-            continue
-        if min(math.pi / 2 - abs(y1.phi), math.pi / 2 - abs(p0[i])) <= band:
-            continue
-        L = cfg[y1.scatterer].L
-        dr = abs(y1.r - r0[i])
-        d = math.hypot(min(dr, L - dr), y1.phi - p0[i])
-        worst = max(worst, d)
-        n_used += 1
-    return worst, n_used
+    jj0, r0, p0, _, ok0 = T0.forward_batch(idx, rr, pp)
+    sel = np.flatnonzero(keep & ok0)
+    j1, r1, p1, _, ok1 = T_forced.forward_batch(idx[sel], rr[sel], pp[sel])
+    j0, r0, p0 = jj0[sel], r0[sel], p0[sel]
+    use = ok1 & (j1 == j0) & (np.minimum(math.pi / 2 - np.abs(p1),
+                                         math.pi / 2 - np.abs(p0)) > band)
+    L = cfg.lengths[j1[use]]
+    dr = np.abs(r1[use] - r0[use])
+    d = np.hypot(np.minimum(dr, L - dr), p1[use] - p0[use])
+    return (float(d.max()) if d.size else 0.0), int(use.sum())
 
 
 def parallel_ray_spread(R, gamma, n_b=2000):

@@ -12,10 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (InfiniteHorizon, LorentzGasError, NoConvergence,
-                     WeightNotNormalized, EigenvalueCollision)
+from .errors import (InfiniteHorizon, NoConvergence, WeightNotNormalized,
+                     EigenvalueCollision)
 from .geometry import config_metrics
-from .classical_map import PhasePoint
 
 __all__ = ["UlamOperator", "SpectrumResult", "build_ulam", "spectrum",
            "track_path", "random_operator", "operator_distance",
@@ -86,22 +85,9 @@ class _Partition:
 
 
 def _push_points(map_def, idx, r, phi):
-    """Forward images of many phase points; ok=False where the map fails."""
-    if hasattr(map_def, "forward_batch"):
-        jj, r1, p1, _, ok = map_def.forward_batch(idx, r, phi)
-        return jj, r1, p1, ok
-    n = idx.size
-    jj = np.zeros(n, dtype=int)
-    r1 = np.zeros(n)
-    p1 = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    for i in range(n):
-        try:
-            y = map_def.forward(
-                PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))).next
-            jj[i], r1[i], p1[i], ok[i] = y.scatterer, y.r, y.phi, True
-        except LorentzGasError:
-            pass
+    """Forward images of many phase points; ok=False where the map fails.
+    The flight times are dropped here, so their array is freed at once."""
+    jj, r1, p1, _, ok = map_def.forward_batch(idx, r, phi)
     return jj, r1, p1, ok
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentzgas import (ClassicalMap, ScattererConfig, build_scatterer,
+from lorentzgas import (ClassicalMap, Scatterer, ScattererConfig,
                         config_metrics)
 from lorentzgas import classical_map
 from lorentzgas.classical_map import PhasePoint, free_flight
@@ -40,7 +40,7 @@ def fixture_four_disk(cos_coeffs=()):
 
 
 def test_circle_basics():
-    sc = build_scatterer([0.2, 0.3], 0.25)
+    sc = Scatterer([0.2, 0.3], 0.25)
     assert sc.is_circle
     assert sc.L == pytest.approx(2 * np.pi * 0.25, rel=1e-12)
     assert sc.curvature_r(0.1) == pytest.approx(4.0, rel=1e-12)
@@ -78,8 +78,8 @@ def test_theta_of_r_early_exit_is_exact(cos_coeffs, monkeypatch):
 
 def test_curvature_against_dense_sampling():
     """Osculating-circle fit through dense boundary samples."""
-    sc = build_scatterer([0.5, 0.5], 0.2, cos_coeffs=[0.0, 0.03],
-                         sin_coeffs=[0.01])
+    sc = Scatterer([0.5, 0.5], 0.2, cos_coeffs=[0.0, 0.03],
+                   sin_coeffs=[0.01])
     for r0 in np.linspace(0.05, sc.L - 0.05, 7):
         h = 1e-4
         p0 = sc.point_theta(sc.theta_of_r(r0 - h))
@@ -96,7 +96,7 @@ def test_curvature_against_dense_sampling():
 
 
 def test_arclength_table_against_quadrature():
-    sc = build_scatterer([0.0, 0.0], 0.3, cos_coeffs=[0.0, 0.02])
+    sc = Scatterer([0.0, 0.0], 0.3, cos_coeffs=[0.0, 0.02])
     th = np.linspace(0, 2 * np.pi, 200001)
     speed = np.sqrt(sc.rho(th) ** 2 + sc.rho(th, 1) ** 2)
     L_quad = np.trapezoid(speed, th)
@@ -104,8 +104,8 @@ def test_arclength_table_against_quadrature():
 
 
 def test_r_of_point_roundtrip():
-    sc = build_scatterer([0.1, 0.9], 0.22, cos_coeffs=[0.0, 0.0, 0.01],
-                         rotation=0.4)
+    sc = Scatterer([0.1, 0.9], 0.22, cos_coeffs=[0.0, 0.0, 0.01],
+                   rotation=0.4)
     for r in np.linspace(0.0, sc.L, 17, endpoint=False):
         p = sc.point_theta(sc.theta_of_r(r))
         assert sc.r_of_point(p) == pytest.approx(r, abs=1e-10)
@@ -114,7 +114,7 @@ def test_r_of_point_roundtrip():
 @given(st.floats(0.0, 1.0), st.floats(0.05, 0.4))
 @settings(max_examples=25, deadline=None)
 def test_gap_sign_property(frac, radius):
-    sc = build_scatterer([0.0, 0.0], radius)
+    sc = Scatterer([0.0, 0.0], radius)
     th = 2 * np.pi * frac
     inside = 0.5 * radius * np.array([np.cos(th), np.sin(th)])
     outside = 2.0 * radius * np.array([np.cos(th), np.sin(th)])
