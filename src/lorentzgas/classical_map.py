@@ -9,13 +9,11 @@ increasing r, so the outgoing velocity is v = cos(phi) n + sin(phi) t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LorentzGasError, NoCollision, SingularityTooClose,
-                     Tangential)
+from .errors import LorentzGasError, NoCollision, Tangential
 
 GRAZING_TOL = 1e-10
 FD_GUARD = 1e-6
@@ -27,10 +25,6 @@ class PhasePoint:
     scatterer: int
     r: float
     phi: float
-
-    def reduced(self, config):
-        L = config[self.scatterer].L
-        return PhasePoint(self.scatterer, float(np.mod(self.r, L)), self.phi)
 
 
 @dataclass(frozen=True)
@@ -50,278 +44,284 @@ class Jacobian2x2:
 
 
 # ---------------------------------------------------------------------------
-# ray tracing on the unfolded torus
+# the collision search on the unfolded torus
+
+_BLOCK = 8                 # candidate images tested per pass, at least
+_CHUNK = 4096              # points mapped together, to bound the temporaries
+_FEW_PAIRS = 2048          # passes this small widen, to save passes
+_NEAR = 4.0                # reach of the first table a ray searches: the
+                           # cap's table holds ~pi cap^2 images per source
+_LB_SLACK = 1e-6           # > rounding error of a grazing discriminant root
+_T_MIN = 1e-11             # a hit closer than this is the ray's own start
+_N_CHORD = 49              # gap samples along a profile image's chord
+_SMALL = np.int16          # dtype of the table's scatterer and offsets
 
 
-def _ray_circle_first(q, v, C, R, t_lo):
-    """First t > t_lo where q + t v hits circle (C, R); None if it misses."""
-    d = q - C
-    b = d @ v
-    c = d @ d - R * R
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    s = np.sqrt(disc)
-    t1 = -b - s
-    return t1 if t1 > t_lo else None
+def is_grazing(phi, grazing_tol=GRAZING_TOL):
+    """The grazing rule: phi within grazing_tol of +-pi/2 (or past it)."""
+    return np.pi / 2 - np.abs(phi) < grazing_tol
 
 
-def _ray_profile_first(sc, offset, q, v, t_lo, t_hi):
-    """First root of the signed radial gap along q + t v against a
-    non-circular scatterer image; None if no crossing in (t_lo, t_hi)."""
-    off = np.asarray(offset, dtype=float)
-    C = sc.center + off
+def _candidate_table(config, reach, q=None):
+    """The scatterer images a ray may hit within `reach`, sorted per source.
 
-    def g(t):
-        return sc.gap(q + t * v - off)
-
-    def gdot(t):
-        return sc.gap_grad(q + t * v - off) @ v
-
-    # restrict to the chord through the bounding circle
-    chord = _chord_interval(q, v, C, sc.rho_max, t_lo, t_hi)
-    if chord is None:
-        return None
-    ta, tb = chord
-    ts = np.linspace(ta, tb, 49)
-    gs = np.array([g(t) for t in ts])
-    neg = np.nonzero(gs <= 0)[0]
-    if neg.size:
-        k = neg[0]
-        if k == 0:
-            return None  # started inside: stale bracket
-        return _polish_root(g, gdot, ts[k - 1], ts[k])
-    # no sample below zero: check for a grazing dip around the sampled minimum
-    k = int(np.argmin(gs))
-    if 0 < k < len(ts) - 1:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(g, bracket=(ts[k - 1], ts[k], ts[k + 1]),
-                              options={"xtol": 1e-14})
-        if res.fun <= 0:
-            return _polish_root(g, gdot, ta, res.x)
-    return None
-
-
-def _chord_interval(q, v, C, R, t_lo, t_hi):
-    d = q - C
-    b = d @ v
-    c = d @ d - R * R
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    s = np.sqrt(disc)
-    ta, tb = max(-b - s, t_lo), min(-b + s, t_hi)
-    if ta >= tb:
-        return None
-    return ta, tb
-
-
-def _polish_root(g, gdot, ta, tb):
-    """Bisection bracket + Newton polish of g on [ta, tb] to 1e-12."""
-    fa = g(ta)
-    for _ in range(60):
-        tm = 0.5 * (ta + tb)
-        fm = g(tm)
-        if fa * fm <= 0:
-            tb = tm
-        else:
-            ta, fa = tm, fm
-        if tb - ta < 1e-13:
-            break
-    t = 0.5 * (ta + tb)
-    for _ in range(4):
-        gd = gdot(t)
-        if gd == 0:
-            break
-        t = t - g(t) / gd
-    return t
-
-
-def free_flight_ray(config, q, v, flight_cap=50.0, exclude=None):
-    """Trace the ray q + t v through the periodic scatterer array.
-
-    Returns (scatterer index, lattice offset, t, hit point in base cell
-    coordinates).  `exclude` is an (index, offset) pair for the image the
-    ray starts on.  Raises NoCollision past flight_cap.
+    Every image is bounded by its circumscribed disc, of radius rho_max (R
+    for a circle).  A source is a disc (S, rho): each scatterer's bounding
+    disc, whose rays skip its base image, or, given ray origins q, one disc
+    around all of them.  lb = |C_img - S| - rho - rho_max_j is a lower
+    bound on the flight of a unit-speed ray from the source to the image;
+    each row sorts the images by its lb and keeps at least those with lb
+    <= reach.  A skipped image is a dummy (lb inf, rho_max^2 = -1) that no
+    ray meets.  Returns (lb, Cx, Cy, |C|^2, rho_max^2, scatterer, offset),
+    one row per source.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    best_t = np.inf
-    best = None
-    tried = set()
-
-    # grid walk (DDA) over unit cells crossed by the ray
-    cx, cy = int(np.floor(q[0])), int(np.floor(q[1]))
-    step_x = 1 if v[0] > 0 else -1
-    step_y = 1 if v[1] > 0 else -1
-    tmax_x = ((cx + (step_x > 0)) - q[0]) / v[0] if v[0] != 0 else np.inf
-    tmax_y = ((cy + (step_y > 0)) - q[1]) / v[1] if v[1] != 0 else np.inf
-    tdel_x = abs(1.0 / v[0]) if v[0] != 0 else np.inf
-    tdel_y = abs(1.0 / v[1]) if v[1] != 0 else np.inf
-    t_entry = 0.0
-
-    while t_entry <= min(best_t, flight_cap):
-        for j, sc in enumerate(config.scatterers):
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    off = (cx + dx, cy + dy)
-                    key = (j, off)
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    if exclude is not None and j == exclude[0] and off == tuple(exclude[1]):
-                        continue
-                    C = sc.center + np.array(off, dtype=float)
-                    if sc.is_circle:
-                        t = _ray_circle_first(q, v, C, sc.R, 1e-11)
-                    else:
-                        t = _ray_profile_first(sc, off, q, v, 1e-11,
-                                               min(best_t, flight_cap))
-                    if t is not None and t < best_t:
-                        best_t = t
-                        best = (j, off)
-        if tmax_x < tmax_y:
-            t_entry = tmax_x
-            tmax_x += tdel_x
-            cx += step_x
-        else:
-            t_entry = tmax_y
-            tmax_y += tdel_y
-            cy += step_y
-
-    if best is None or best_t > flight_cap:
-        raise NoCollision(tau=flight_cap)
-    j, off = best
-    hit = q + best_t * v - np.array(off, dtype=float)
-    return j, off, best_t, hit
-
-
-_BLOCK = 8          # candidate images tested per pass
-_CHUNK = 4096       # points mapped together, to bound the temporaries
-_LB_SLACK = 1e-6    # > the rounding error of a grazing discriminant root
-
-
-def _candidate_table(config, flight_cap, max_cells, q=None):
-    """The circle images a ray may hit first, sorted per ray source.
-
-    The images are those of the (2 max_cells + 1)^2 cell window around
-    the base cell, less the copies whose center is farther than the cap
-    plus the cell diagonal and their radius (they can never win).  A
-    source is a disc (S, rho): each scatterer, whose rays skip its base
-    image, or, given ray origins q, one disc around all of them.  Its row
-    sorts the images by lb = |C_img - S| - rho - R_j, a lower bound on the
-    flight of a unit-speed ray from the disc to the image.  A skipped
-    image is a dummy (lb inf, R^2 = -1) that no ray hits.  Returns
-    (lb, Cx, Cy, |C|^2, R^2, scatterer, offset), one row per source.
-    """
-    reach = min(flight_cap, max_cells * 2.0) + math.sqrt(2.0)
-    cells = range(-max_cells, max_cells + 1)
     scs = config.scatterers
-    j, ox, oy = np.array([(j, ox, oy) for j, sc in enumerate(scs)
-                          for ox in cells for oy in cells
-                          if math.hypot(sc.center[0] + ox - 0.5,
-                                        sc.center[1] + oy - 0.5)
-                          <= reach + sc.R]).T
     Cs = np.stack([sc.center for sc in scs])
-    R = np.array([sc.R for sc in scs])
-    Cx, Cy = Cs[j, 0] + ox, Cs[j, 1] + oy
+    rho = np.array([sc.rho_max for sc in scs])
     if q is None:
-        S, rho = Cs, R
+        S, rho_s = Cs, rho
     else:
         S = q.mean(axis=0, keepdims=True)
-        rho = np.sqrt(((q - S) ** 2).sum(axis=1)).max(keepdims=True)
-    lb = (np.hypot(Cx - S[:, :1], Cy - S[:, 1:]) - rho[:, None] - R[j]
+        rho_s = np.sqrt(((q - S) ** 2).sum(axis=1)).max(keepdims=True)
+    m = reach + rho_s.max() + rho.max() + np.abs(S[:, None] - Cs).max()
+    cells = np.arange(-np.ceil(m), np.ceil(m) + 1, dtype=_SMALL)
+    j, ox, oy = (a.ravel() for a in np.meshgrid(
+        np.arange(len(scs), dtype=_SMALL), cells, cells, indexing="ij"))
+    Cx, Cy = Cs[j, 0] + ox, Cs[j, 1] + oy
+    lb = (np.hypot(Cx - S[:, :1], Cy - S[:, 1:]) - rho_s[:, None] - rho[j]
           - _LB_SLACK)
     if q is None:
-        lb[(j == np.arange(len(R))[:, None]) & (ox == 0) & (oy == 0)] = np.inf
-    order = np.argsort(lb, axis=1, kind="stable")
+        lb[(j == np.arange(len(S))[:, None]) & (ox == 0) & (oy == 0)] = np.inf
+    width = (lb <= reach).sum(axis=1).max()
+    order = np.argsort(lb, axis=1, kind="stable")[:, :width]
     lb = np.take_along_axis(lb, order, axis=1)
     dummy = np.isinf(lb)
     Cx, Cy = np.where(dummy, 0.0, Cx[order]), np.where(dummy, 0.0, Cy[order])
-    R2 = np.array([sc.R ** 2 for sc in scs])[j[order]]
-    return (lb, Cx, Cy, Cx * Cx + Cy * Cy, np.where(dummy, -1.0, R2),
+    rho2 = np.array([sc.rho_max ** 2 for sc in scs])[j[order]]
+    return (lb, Cx, Cy, Cx * Cx + Cy * Cy, np.where(dummy, -1.0, rho2),
             j[order], np.stack([ox[order], oy[order]], axis=-1))
 
 
-def _first_circle_hits(config, q, v, flight_cap, max_cells=3, launch=None):
-    """First circle image hit by each unit-speed ray q[k] + t v[k], t > 1e-11.
+def _first_hits(config, q, v, flight_cap, launch=None):
+    """First scatterer image hit by each unit-speed ray q[k] + t v[k] with
+    1e-11 < t <= flight_cap.
 
-    Every scatterer must be a circle.  `launch` holds each ray's own
-    scatterer, whose base-cell image the ray starts on and skips; the
-    candidate table of these sources is memoised on the config.  Each
-    pass tests the next _BLOCK candidates of every open ray, which closes
-    once the lower bound of its next candidate reaches its best hit, so
-    the result is that of testing every image of the table.  Returns (t,
-    scatterer, offset) arrays; t is inf where no image is hit.
+    `launch` holds each ray's own scatterer, whose base image the ray
+    starts on and skips; the candidate tables of these sources are
+    memoised on the config per reach.  Every ray is searched on the table
+    of reach min(flight_cap, _NEAR), and a ray whose best hit lies past
+    that reach is searched again on the table of reach flight_cap, which
+    holds every image a flight within the cap can meet.  Returns (t,
+    scatterer, offset) arrays; t is inf where nothing is hit within the cap.
     """
-    if launch is None:
-        src = np.zeros(len(q), dtype=int)
-        tab = _candidate_table(config, flight_cap, max_cells, q)
-    else:
-        src, key = launch, (flight_cap, max_cells)
-        if key not in config._hit_tables:
-            config._hit_tables[key] = _candidate_table(config, flight_cap,
-                                                       max_cells)
-        tab = config._hit_tables[key]
+    def table(reach, rays):
+        if launch is None:
+            return _candidate_table(config, reach, q[rays])
+        if reach not in config._hit_tables:
+            config._hit_tables[reach] = _candidate_table(config, reach)
+        return config._hit_tables[reach]
+
+    src = np.zeros(len(q), dtype=int) if launch is None else np.asarray(launch)
+    near = min(flight_cap, _NEAR)
+    out = _scan(config, table(near, slice(None)), src, q, v, flight_cap)
+    far = np.flatnonzero(out[0] > near)
+    if far.size and near < flight_cap:
+        for o, f in zip(out, _scan(config, table(flight_cap, far), src[far],
+                                   q[far], v[far], flight_cap)):
+            o[far] = f
+    return out
+
+
+def _scan(config, tab, src, q, v, flight_cap):
+    """_first_hits on one table, whose rows are the rays' sources `src`.
+
+    Each pass tests the next candidates of every open ray (_BLOCK, more
+    once only few pairs remain), and a ray closes once the lower bound of
+    its next candidate reaches its best hit, so the result is that of
+    testing every image of the table.  A circle is hit where the ray meets
+    it, a profile image where its gap first changes sign on the chord of
+    its bounding disc (_first_root), searched only where that chord starts
+    before the ray's best hit.
+    """
+    scs = config.scatterers
     lb, Cx, Cy, C2, R2, js, offs = tab
-    best_t = np.full(len(q), np.inf)
+    profiles = [j for j, sc in enumerate(scs) if not sc.is_circle]
+    best_t = np.full(len(q), np.nextafter(flight_cap, np.inf))
     best_c = np.zeros(len(q), dtype=int)
     act = np.arange(len(q))
-    for c0 in range(0, lb.shape[1], _BLOCK):
-        if not act.size:
-            break
-        s, blk = src[act], slice(c0, c0 + _BLOCK)
+    c0, width = 0, _BLOCK
+    while act.size and c0 < lb.shape[1]:
+        c1 = c0 + max(_BLOCK, min(width, _FEW_PAIRS // act.size))
+        width *= 2
+        s, blk = src[act], slice(c0, c1)
         qx, qy = q[act, :1], q[act, 1:]
         vx, vy = v[act, :1], v[act, 1:]
         bx, by = Cx[s, blk], Cy[s, blk]
-        # c = |q|^2 - 2 q.C + |C|^2 - R^2 summed in this order, so that t
-        # is bit-identical to a plain scan of the window (see the tests)
+        # c = |q|^2 - 2 q.C + |C|^2 - rho^2 summed in this order, so that a
+        # circle's t is bit-identical to a plain scan (see the tests)
         b = (qx - bx) * vx + (qy - by) * vy
         c = (qx * qx + qy * qy) - 2.0 * (qx * bx + qy * by) \
             + C2[s, blk] - R2[s, blk]
         disc = b * b - c
         valid = disc > 0
-        t1 = -b - np.sqrt(disc, where=valid, out=np.zeros_like(disc))
-        t1 = np.where(valid & (t1 > 1e-11), t1, np.inf)
+        root = np.sqrt(disc, where=valid, out=np.zeros_like(disc))
+        t_in = -b - root
+        t1 = np.where(valid & (t_in > _T_MIN), t_in, np.inf)
+        if profiles:
+            jb = js[s, blk]
+            t1[np.isin(jb, profiles)] = np.inf
+            ta = np.maximum(t_in, _T_MIN)
+            tb = np.minimum(-b + root, flight_cap)
+            chord = valid & (ta < tb) \
+                & (ta < np.minimum(best_t[act], t1.min(axis=1))[:, None])
+            for j in profiles:
+                i, k = np.nonzero(chord & (jb == j))
+                if i.size:
+                    t1[i, k] = _first_root(scs[j],
+                                           q[act[i]] - offs[s[i], c0 + k],
+                                           v[act[i]], ta[i, k], tb[i, k])
         k = np.argmin(t1, axis=1)
         tk = t1[np.arange(act.size), k]
         win = tk < best_t[act]
         best_t[act[win]] = tk[win]
         best_c[act[win]] = c0 + k[win]
-        if c0 + _BLOCK < lb.shape[1]:
-            act = act[best_t[act] > lb[s, c0 + _BLOCK]]
-    hit = np.isfinite(best_t)
-    best_j = np.where(hit, js[src, best_c], -1)
-    best_off = np.where(hit[:, None], offs[src, best_c], 0).astype(float)
-    return best_t, best_j, best_off
+        if c1 < lb.shape[1]:
+            act = act[best_t[act] > lb[s, c1]]
+        c0 = c1
+    hit = best_t <= flight_cap
+    return (np.where(hit, best_t, np.inf),
+            np.where(hit, js[src, best_c], -1).astype(int),
+            np.where(hit[:, None], offs[src, best_c], 0).astype(float))
+
+
+def _first_root(sc, p, v, ta, tb):
+    """First root of the gap of scatterer sc along each p[k] + t v[k] on the
+    chord [ta[k], tb[k]] of its bounding disc; inf where there is none.
+
+    p is the ray origin less the image's lattice offset.  The chord is
+    sampled at _N_CHORD points and the first sign change is solved by
+    bracketed Newton; a ray whose chord starts inside the profile has no
+    root.  Where no sample is below zero, the gap is minimised (to 1e-13)
+    between the samples around the smallest one, to find a grazing dip
+    between samples.  Each ray's root depends on that ray alone.
+    """
+    ts = np.linspace(ta, tb, _N_CHORD, axis=1)
+    gs = sc.gap(p[:, None] + ts[..., None] * v[:, None])
+    rows = np.arange(len(ta))
+    neg = gs <= 0
+    k = np.argmax(neg, axis=1)
+    crossed = neg[rows, k] & (k > 0)
+    lo, hi = ts[rows, k - 1], ts[rows, k]
+    k = np.argmin(gs, axis=1)
+    dip = np.flatnonzero(~neg.any(axis=1) & (k > 0) & (k < _N_CHORD - 1))
+    if dip.size:
+        # the minimum is where the gap's slope changes sign; Newton on the
+        # slope takes a forward difference of it for its derivative
+        def slope(t, m):
+            s0, s1 = (sc.gap_slope(p[dip[m]] + tt[:, None] * v[dip[m]],
+                                   v[dip[m]])[1] for tt in (t, t + 1e-7))
+            return -s0, (s0 - s1) / 1e-7
+
+        x = _bracketed_newton(slope, ts[dip, k[dip] - 1], ts[dip, k[dip] + 1])
+        fx = sc.gap(p[dip] + x[:, None] * v[dip])
+        dip, x = dip[fx <= 0], x[fx <= 0]
+        crossed[dip] = True
+        lo[dip], hi[dip] = ts[dip, k[dip] - 1], x
+    t = np.full(len(ta), np.inf)
+    i = np.flatnonzero(crossed)
+    if i.size:
+        t[i] = _bracketed_newton(
+            lambda t, m: sc.gap_slope(p[i[m]] + t[:, None] * v[i[m]], v[i[m]]),
+            lo[i], hi[i])
+    return t
+
+
+def _bracketed_newton(f, lo, hi):
+    """Roots of f(., m) -> (value, slope) in the brackets [lo, hi], value
+    > 0 at lo and <= 0 at hi.  Newton steps from the midpoints, halving
+    the bracket wherever a step would leave it, until a step is below
+    1e-14 (relative) or the bracket narrower than 1e-13; 60 steps at most."""
+    x = 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    for _ in range(60):
+        fx, dfx = f(x[live], live)
+        below = fx <= 0
+        hi[live[below]] = x[live[below]]
+        lo[live[~below]] = x[live[~below]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x[live] - fx / dfx
+        a, b = lo[live], hi[live]
+        out = ~((xn >= a) & (xn <= b))
+        xn[out] = 0.5 * (a + b)[out]
+        done = (np.abs(xn - x[live]) <= 1e-14 * (1.0 + np.abs(xn))) \
+            | (b - a < 1e-13)
+        x[live] = xn
+        live = live[~done]
+        if not live.size:
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------
 # the map
 
 
-def _outgoing(config, x):
-    """Boundary point and outgoing unit velocity for a phase point."""
-    sc = config[x.scatterer]
-    p, t, n, K = sc.frame(x.r)
-    v = np.cos(x.phi) * n + np.sin(x.phi) * t
-    return p, v, t, n, K
+def _forward_chunk(config, idx, r, phi, flight_cap, grazing_tol):
+    """The billiard map at arrays of phase points: (idx1, r1, phi1, tau,
+    ok), ok False (and tau inf) where the launch is grazing or nothing is
+    hit within the flight cap.  Frames are closed-form on circles and come
+    from Scatterer.frame (launch) and frame_theta (landing) on profiles."""
+    scs = config.scatterers
+    Rs = np.array([s.R for s in scs])
+    rots = np.array([s.rotation for s in scs])
+    Cs = np.stack([s.center for s in scs])
+    profiles = [j for j, s in enumerate(scs) if not s.is_circle]
+    Ri = Rs[idx]
+    polar = r / Ri + rots[idx]
+    n = np.stack([np.cos(polar), np.sin(polar)], axis=-1)
+    t = np.stack([-np.sin(polar), np.cos(polar)], axis=-1)
+    q = Cs[idx] + Ri[:, None] * n
+    for j in profiles:
+        sel = idx == j
+        if sel.any():
+            q[sel], t[sel], n[sel], _ = scs[j].frame(r[sel])
+    v = np.cos(phi)[:, None] * n + np.sin(phi)[:, None] * t
+
+    tau, best_j, best_off = _first_hits(config, q, v, flight_cap, launch=idx)
+    ok = np.isfinite(tau) & ~is_grazing(phi, grazing_tol)
+    jj = np.where(ok, best_j, 0)
+    p_hit = q + np.where(ok, tau, 0.0)[:, None] * v - best_off
+    d = p_hit - Cs[jj]
+    polar1 = np.arctan2(d[:, 1], d[:, 0])
+    r1 = np.mod((polar1 - rots[jj]), 2 * np.pi) * Rs[jj]
+    n1 = np.stack([np.cos(polar1), np.sin(polar1)], axis=-1)
+    t1v = np.stack([-np.sin(polar1), np.cos(polar1)], axis=-1)
+    for j in profiles:
+        sel = ok & (jj == j)
+        if sel.any():
+            th = scs[j].theta_of_point(p_hit[sel])
+            r1[sel] = scs[j].arclength(th)
+            _, t1v[sel], n1[sel], _ = scs[j].frame_theta(th)
+    vn = np.einsum("ij,ij->i", v, n1)
+    v_out = v - 2.0 * vn[:, None] * n1
+    phi1 = np.arctan2(np.einsum("ij,ij->i", v_out, t1v),
+                      np.einsum("ij,ij->i", v_out, n1))
+    return jj, r1, phi1, np.where(ok, tau, np.inf), ok
 
 
 def free_flight(config, x, flight_cap=50.0, grazing_tol=GRAZING_TOL):
-    """Next collision of the outgoing ray of x; Tangential launches rejected."""
-    if np.pi / 2 - abs(x.phi) < grazing_tol:
+    """Next collision of the outgoing ray of x: the batch map of one point,
+    raising Tangential for a grazing launch and NoCollision past the cap."""
+    if is_grazing(x.phi, grazing_tol):
         raise Tangential(f"phi within {grazing_tol} of +-pi/2")
-    p, v, _, _, _ = _outgoing(config, x)
-    j, off, tau, hit = free_flight_ray(config, p, v, flight_cap,
-                                       exclude=(x.scatterer, (0, 0)))
-    scj = config[j]
-    r1 = float(scj.r_of_point(hit))
-    _, t1, n1, _ = scj.frame(r1)
-    v_out = v - 2.0 * (v @ n1) * n1
-    phi1 = float(np.arctan2(v_out @ t1, v_out @ n1))
-    return CollisionResult(PhasePoint(j, r1, phi1), float(tau),
-                           float(np.pi / 2 - abs(phi1)))
+    jj, r1, phi1, tau, ok = _forward_chunk(
+        config, np.array([x.scatterer]), np.array([float(x.r)]),
+        np.array([float(x.phi)]), flight_cap, grazing_tol)
+    if not ok[0]:
+        raise NoCollision(tau=flight_cap)
+    phi1 = float(phi1[0])
+    return CollisionResult(PhasePoint(int(jj[0]), float(r1[0]), phi1),
+                           float(tau[0]), float(np.pi / 2 - abs(phi1)))
 
 
 def time_reverse(x):
@@ -335,7 +335,6 @@ class ClassicalMap:
         self.config = config
         self.flight_cap = flight_cap
         self.grazing_tol = grazing_tol
-        self.all_circles = all(s.is_circle for s in config.scatterers)
 
     def forward(self, x):
         return free_flight(self.config, x, self.flight_cap, self.grazing_tol)
@@ -363,73 +362,30 @@ class ClassicalMap:
 
     # -- vectorized batch path ----------------------------------------------
 
-    def forward_batch(self, idx, r, phi, max_cells=3):
-        """Forward map of arrays of phase points.
+    def forward_batch(self, idx, r, phi):
+        """Forward map of arrays of phase points, _CHUNK at a time.
 
-        Returns (idx1, r1, phi1, tau, ok) arrays; ok is False where no
-        collision was found within the flight cap.  All-circle configs are
-        searched vectorised over the cell window, _CHUNK points at a time;
-        where the cap reaches past the window, the rays it leaves
-        unresolved are flown again on the scalar map.  Configs with
-        profile scatterers take the scalar map point by point, with ok
-        False where it raises.
+        Returns (idx1, r1, phi1, tau, ok) arrays; ok is False, and tau inf,
+        where the launch is grazing or no collision lies within the cap.
         """
         idx = np.asarray(idx, dtype=int)
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        if not self.all_circles:
-            return pointwise_images(self.forward, idx, r, phi)
         n = len(r)
         out = (np.zeros(n, dtype=int), np.zeros(n), np.zeros(n), np.zeros(n),
                np.zeros(n, dtype=bool))
         for a in range(0, n, _CHUNK):
             sl = slice(a, a + _CHUNK)
-            for o, x in zip(out, self._forward_circles(idx[sl], r[sl],
-                                                       phi[sl], max_cells)):
+            for o, x in zip(out, _forward_chunk(
+                    self.config, idx[sl], r[sl], phi[sl], self.flight_cap,
+                    self.grazing_tol)):
                 o[sl] = x
-        # a flight from the base cell's neighbourhood stays in the window
-        # only if it is at least two cells shorter than the window's reach
-        miss = np.flatnonzero(~out[4])
-        if miss.size and self.flight_cap + 2 > max_cells:
-            fix = pointwise_images(self.forward, idx[miss], r[miss], phi[miss])
-            for o, x in zip(out, fix):
-                o[miss[fix[4]]] = x[fix[4]]
         return out
 
-    def _forward_circles(self, idx, r, phi, max_cells):
-        """forward_batch of an all-circle config."""
-        Rs = np.array([s.R for s in self.config.scatterers])
-        rots = np.array([s.rotation for s in self.config.scatterers])
-        Cs = np.stack([s.center for s in self.config.scatterers])
-
-        Ri = Rs[idx]
-        polar = r / Ri + rots[idx]
-        n = np.stack([np.cos(polar), np.sin(polar)], axis=-1)
-        t = np.stack([-np.sin(polar), np.cos(polar)], axis=-1)
-        q = Cs[idx] + Ri[:, None] * n
-        v = np.cos(phi)[:, None] * n + np.sin(phi)[:, None] * t
-
-        best_t, best_j, best_off = _first_circle_hits(
-            self.config, q, v, self.flight_cap, max_cells, launch=idx)
-
-        ok = np.isfinite(best_t) & (best_t <= self.flight_cap)
-        jj = np.where(ok, best_j, 0)
-        p_hit = q + np.where(ok, best_t, 0.0)[:, None] * v - best_off
-        d = p_hit - Cs[jj]
-        polar1 = np.arctan2(d[:, 1], d[:, 0])
-        r1 = np.mod((polar1 - rots[jj]), 2 * np.pi) * Rs[jj]
-        n1 = np.stack([np.cos(polar1), np.sin(polar1)], axis=-1)
-        t1v = np.stack([-np.sin(polar1), np.cos(polar1)], axis=-1)
-        vn = np.einsum("ij,ij->i", v, n1)
-        v_out = v - 2.0 * vn[:, None] * n1
-        phi1 = np.arctan2(np.einsum("ij,ij->i", v_out, t1v),
-                          np.einsum("ij,ij->i", v_out, n1))
-        return jj, r1, phi1, best_t, ok
-
-    def backward_batch(self, idx, r, phi, max_cells=3):
+    def backward_batch(self, idx, r, phi):
         """Vectorized backward map (time reversal of the forward batch)."""
         jj, r1, phi1, tau, ok = self.forward_batch(idx, np.asarray(r),
-                                                   -np.asarray(phi), max_cells)
+                                                   -np.asarray(phi))
         return jj, r1, -phi1, tau, ok
 
     def step_batch(self, idx, r, phi, direction="forward"):

@@ -192,28 +192,21 @@ def cmd_map(args, runner):
     rng = np.random.default_rng(args.seed)
     from .transfer_spectrum import sample_invariant
     idx, r, phi = sample_invariant(cfg, args.samples, rng)
-    jj, r1, p1, tau, ok = T.forward_batch(idx, r, phi)
-    inv_err = 0.0
-    det_err = 0.0
-    n_check = min(args.samples, 200)
-    for i in range(n_check):
-        if not ok[i]:
-            continue
-        x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
-        res, jac = T.step(x)
-        y = res.next
-        back = T.backward(y).next
-        Ls = cfg[x.scatterer].L
-        dr = abs(back.r - x.r)
-        inv_err = max(inv_err, math.hypot(min(dr, Ls - dr),
-                                          back.phi - x.phi))
-        det_err = max(det_err, abs(abs(jac.det) * math.cos(y.phi)
-                                   / math.cos(x.phi) - 1.0))
+    _, _, _, tau, ok = T.forward_batch(idx, r, phi)
+    # the step and its inverse at the ok samples among the first 200
+    chk = np.flatnonzero(ok[:200])
+    i0, r0, p0 = idx[chk], r[chk], phi[chk]
+    i1, r1, p1, _, J, _ = T.step_batch(i0, r0, p0)
+    _, rb, pb, _, back_ok = T.backward_batch(i1, r1, p1)
+    dr = np.abs(rb - r0)
+    inv_err = np.where(back_ok, np.hypot(np.minimum(dr, cfg.lengths[i0] - dr),
+                                         pb - p0), np.inf)
+    det_err = np.abs(np.abs(np.linalg.det(J)) * np.cos(p1) / np.cos(p0) - 1.0)
     runner.write_json("map.json", {
         "samples": int(args.samples), "ok_fraction": float(ok.mean()),
         "mean_flight": float(tau[ok].mean()),
-        "invertibility_error": inv_err,
-        "measure_jacobian_error": det_err,
+        "invertibility_error": float(inv_err.max(initial=0.0)),
+        "measure_jacobian_error": float(det_err.max(initial=0.0)),
         "horizon": met.horizon})
 
 

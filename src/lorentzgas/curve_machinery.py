@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (CurveNotHomogeneous, DisjointIntervals,
                      RefinementBudgetExceeded, ValidationFailed)
-from .classical_map import PhasePoint, homogeneity_index, DEFAULT_K0
+from .classical_map import (PhasePoint, homogeneity_index, is_grazing,
+                             DEFAULT_K0)
 
 
 @dataclass
@@ -203,10 +204,6 @@ class TreeNode:
     def jac_c0(self):
         return float(np.max(self.cum_jac))
 
-    @property
-    def jac_min(self):
-        return float(np.min(self.cum_jac))
-
 
 class GenerationTree:
     """Levels of homogeneous preimage pieces of a root stable curve."""
@@ -250,9 +247,7 @@ class _PullSampler:
         idx = np.full(rs.size, self.curve.scatterer, dtype=int)
         jj, yr, yphi, _, A, ok = self.map_def.step_batch(
             idx, rs, xphi, direction="backward")
-        tol = self.map_def.grazing_tol
-        ok = ok & (np.pi / 2 - np.abs(xphi) > tol) \
-                & (np.pi / 2 - np.abs(yphi) > tol)
+        ok = ok & ~is_grazing(yphi, self.map_def.grazing_tol)
         u1 = A[:, 0, 0] + A[:, 0, 1] * slope
         u2 = A[:, 1, 0] + A[:, 1, 1] * slope
         jac = np.hypot(1.0, slope) / np.hypot(u1, u2)

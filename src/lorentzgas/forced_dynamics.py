@@ -17,8 +17,8 @@ from scipy.optimize import brentq
 from .errors import (EnergyDrift, KickEjected, NoCollision, NoConvergence,
                      SingularityTooClose, Tangential, ValidationFailed)
 from .classical_map import (CollisionResult, PhasePoint, Jacobian2x2,
-                            GRAZING_TOL, FD_GUARD, _is_backward, pointwise,
-                            pointwise_images)
+                            GRAZING_TOL, FD_GUARD, _first_hits, _is_backward,
+                            is_grazing, pointwise, pointwise_images)
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,17 +127,6 @@ class ForceField:
                                    "reference energy level")
         return math.sqrt(val)
 
-    def c1_norm(self, n_grid=64):
-        """Sampled sup of |F| + |dF/dq| over the torus."""
-        xs = np.linspace(0.0, 1.0, n_grid, endpoint=False)
-        best = 0.0
-        for x in xs:
-            for y in xs:
-                q = np.array([x, y])
-                best = max(best, float(np.linalg.norm(self(q)))
-                           + float(np.linalg.norm(self.jac_q(q), 2)))
-        return best
-
     def to_dict(self):
         d = {"kind": self.kind, "epsilon": self.epsilon}
         if self.direction is not None:
@@ -206,17 +195,6 @@ class KickMap:
             [e * c * dt1 * TWO_PI / L, -e * s * t1],
             [e * c * dt2 * TWO_PI / L, -e * s * t2],
         ])
-
-    def c1_norm(self, L, n_grid=128):
-        rs = np.linspace(0.0, L, n_grid, endpoint=False)
-        phis = np.linspace(-math.pi / 2, math.pi / 2, 33)
-        best = 0.0
-        for r in rs:
-            for phi in phis:
-                g1, g2 = self.g(r, phi, L)
-                best = max(best, abs(g1) + abs(g2)
-                           + float(np.abs(self.dg(r, phi, L)).max()))
-        return best
 
     def to_dict(self):
         return {"epsilon": float(self.epsilon),
@@ -339,7 +317,7 @@ class ForcedMap:
         return self._fly(x, (0, 0), self.kick)
 
     def _fly(self, x, offset, kick, variations=False):
-        if math.pi / 2 - abs(x.phi) < self.grazing_tol:
+        if is_grazing(x.phi, self.grazing_tol):
             raise Tangential("outgoing direction within grazing tolerance")
         q0, p0, frame = self._launch(x, offset)
         var = (self._launch_variations(x, q0, p0, frame) if variations
@@ -622,17 +600,19 @@ def integrate_flight(fmap, q0, p0, exclude=None, variations=None):
 
 
 def _straight_flight(fmap, q0, p0, exclude=None, variations=None):
-    from .classical_map import free_flight_ray
     speed = np.linalg.norm(p0)
     v = p0 / speed
-    j, off, t_len, hit = free_flight_ray(fmap.config, q0, v,
-                                         fmap.flight_cap, exclude=exclude)
+    t, j, off = _first_hits(fmap.config, q0[None], v[None], fmap.flight_cap,
+                            launch=None if exclude is None else [exclude[0]])
+    t_len = float(t[0])
+    if not math.isfinite(t_len):
+        raise NoCollision(tau=fmap.flight_cap)
     t1 = t_len / speed
     var1 = None if variations is None else tuple(
         (dq + t1 * dp, dp.copy()) for dq, dp in variations)
-    return FlightTranscript(q0, p0, hit + np.asarray(off, dtype=float), p0,
-                            t1, j, off, t_len, fmap.force, straight=True,
-                            variations=var1)
+    return FlightTranscript(q0, p0, q0 + t_len * v, p0, t1, int(j[0]),
+                            off[0].astype(int), t_len, fmap.force,
+                            straight=True, variations=var1)
 
 
 # ----------------------------------------------------------------------

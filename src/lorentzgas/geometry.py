@@ -44,16 +44,13 @@ class Scatterer:
     def _trig(self, theta, order):
         """d^order/dtheta^order of the profile modulation (without R)."""
         out = np.ones_like(theta) if order == 0 else np.zeros_like(theta)
-        for n, a in enumerate(self.cos_coeffs, start=1):
-            k = float(n) ** order
-            c = [a * np.cos(n * theta), -a * np.sin(n * theta),
-                 -a * np.cos(n * theta), a * np.sin(n * theta)][order % 4]
-            out = out + k * c
-        for n, b in enumerate(self.sin_coeffs, start=1):
-            k = float(n) ** order
-            c = [b * np.sin(n * theta), b * np.cos(n * theta),
-                 -b * np.sin(n * theta), -b * np.cos(n * theta)][order % 4]
-            out = out + k * c
+        m = order % 4
+        for coeffs, fn, sign in (
+                (self.cos_coeffs, (np.cos, np.sin)[m % 2], (1, -1, -1, 1)[m]),
+                (self.sin_coeffs, (np.sin, np.cos)[m % 2], (1, 1, -1, -1)[m])):
+            for n, a in enumerate(coeffs, start=1):
+                if a:  # a zero coefficient adds exact zeros
+                    out = out + float(n) ** order * (sign * a * fn(n * theta))
         return out
 
     def rho(self, theta, order=0):
@@ -137,7 +134,10 @@ class Scatterer:
 
     def frame(self, r):
         """Return (point, unit tangent, outward normal, curvature) at arclength r."""
-        th = self.theta_of_r(r)
+        return self.frame_theta(self.theta_of_r(r))
+
+    def frame_theta(self, th):
+        """frame() at polar parameter th."""
         ang = th + self.rotation
         e = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         eperp = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
@@ -152,11 +152,15 @@ class Scatterer:
     def curvature_r(self, r):
         return self.curvature_theta(self.theta_of_r(r))
 
+    def theta_of_point(self, p):
+        """Polar parameter, in [0, 2 pi), of a boundary point p."""
+        d = np.asarray(p, dtype=float) - self.center
+        return np.mod(np.arctan2(d[..., 1], d[..., 0]) - self.rotation,
+                      2.0 * np.pi)
+
     def r_of_point(self, p):
         """Arclength coordinate of a boundary point p."""
-        d = np.asarray(p, dtype=float) - self.center
-        th = np.mod(np.arctan2(d[..., 1], d[..., 0]) - self.rotation, 2.0 * np.pi)
-        return self.arclength(th)
+        return self.arclength(self.theta_of_point(p))
 
     def gap(self, p):
         """Signed radial distance from p to the boundary (>0 outside)."""
@@ -165,14 +169,14 @@ class Scatterer:
         th = np.arctan2(d[..., 1], d[..., 0]) - self.rotation
         return rr - self.rho(th)
 
-    def gap_grad(self, p):
-        """Gradient of gap() with respect to p."""
+    def gap_slope(self, p, v):
+        """gap() at p and its derivative along the direction v."""
         d = np.asarray(p, dtype=float) - self.center
         rr = np.linalg.norm(d, axis=-1)
         th = np.arctan2(d[..., 1], d[..., 0]) - self.rotation
-        er = d / rr[..., None]
-        eth = np.stack([-er[..., 1], er[..., 0]], axis=-1)
-        return er - (self.rho(th, 1) / rr)[..., None] * eth
+        dv = d[..., 0] * v[..., 0] + d[..., 1] * v[..., 1]
+        dxv = d[..., 0] * v[..., 1] - d[..., 1] * v[..., 0]
+        return rr - self.rho(th), dv / rr - self.rho(th, 1) * dxv / (rr * rr)
 
     # -- C3 norm estimate ----------------------------------------------------
 
@@ -279,7 +283,7 @@ class ConfigMetrics:
 def _corridor_free(config, flight_cap, n_dirs=5, n_off=48):
     """Detect an unbounded free corridor by firing rays along lattice
     directions from a grid of offsets; returns True if one survives the cap."""
-    from .classical_map import _first_circle_hits, free_flight_ray
+    from .classical_map import _first_hits
     q0, v = [], []
     for p in range(0, n_dirs + 1):
         for q in range(-n_dirs, n_dirs + 1):
@@ -292,18 +296,8 @@ def _corridor_free(config, flight_cap, n_dirs=5, n_off=48):
                 for s in np.linspace(0.0, 1.0, n_off, endpoint=False):
                     q0.append(s * perp)
                     v.append(d)
-    q0, v = np.array(q0), np.array(v)
-    # any hit within the cap blocks a ray; the rest are traced in full
-    open_rays = np.ones(len(q0), dtype=bool)
-    if all(s.is_circle for s in config.scatterers):
-        t, _, _ = _first_circle_hits(config, q0, v, flight_cap)
-        open_rays = ~(t <= flight_cap)
-    for k in np.flatnonzero(open_rays):
-        try:
-            free_flight_ray(config, q0[k], v[k], flight_cap=flight_cap)
-        except NoCollision:
-            return True
-    return False
+    t, _, _ = _first_hits(config, np.array(q0), np.array(v), flight_cap)
+    return bool(np.isinf(t).any())
 
 
 def _launches(config, n_samples, seed):
@@ -322,12 +316,11 @@ def _launches(config, n_samples, seed):
 def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
     """Measure tau_min/tau_max, curvature bounds, C3 norm, and horizon.
 
-    Flight times come from one batch sweep over n_samples random launches
-    (which flies the launches its cell window leaves unresolved on the
-    scalar map); the extreme ones and the Nelder-Mead refinements of the
-    shortest flight take the scalar free_flight.  The result is memoised
-    on the config instance per (flight_cap, n_samples, seed), so a
-    ScattererConfig must not be mutated after construction.
+    Flight times come from one batch sweep over n_samples random launches;
+    the Nelder-Mead refinements of the five shortest flights take the
+    one-point free_flight.  The result is memoised on the config instance
+    per (flight_cap, n_samples, seed), so a ScattererConfig must not be
+    mutated after construction.
     """
     key = (flight_cap, n_samples, seed)
     if key in config._metrics:
@@ -343,20 +336,14 @@ def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
         except NoCollision:
             return flight_cap
 
-    def scalar_tau(k):
-        return free_flight(config, PhasePoint(int(idx[k]), float(r[k]),
-                                              float(phi[k])),
-                           flight_cap=flight_cap).tau
-
     _, _, _, taus, ok = ClassicalMap(config, flight_cap).forward_batch(
         idx, r, phi)
     infinite = not ok.all()
     flown = np.flatnonzero(ok)
 
-    # local descent refinement of the minimum from the five shortest
-    # flights, each flown again on the scalar path
+    # local descent refinement of the minimum from the five shortest flights
     seeds = flown[np.argsort(taus[flown])[:5]]
-    tau_min = min(scalar_tau(k) for k in seeds)
+    tau_min = float(taus[seeds].min())
     for k in seeds:
         res = minimize(tau_of, x0=[r[k], phi[k]], args=(int(idx[k]),),
                        method="Nelder-Mead",
@@ -365,8 +352,7 @@ def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
 
     if not infinite:
         infinite = _corridor_free(config, flight_cap)
-    tau_max = float("inf") if infinite else scalar_tau(
-        flown[np.argmax(taus[flown])])
+    tau_max = float("inf") if infinite else float(taus[flown].max())
     met = ConfigMetrics(
         tau_min=tau_min,
         tau_max=tau_max,

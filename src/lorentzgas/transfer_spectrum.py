@@ -44,16 +44,6 @@ class _Partition:
                      0, N - 1)
         return idx * self.per + ir * N + ip
 
-    def box_bounds(self, b):
-        """(scatterer, r interval, phi interval) of a flat box index."""
-        j, rem = divmod(int(b), self.per)
-        ir, ip = divmod(rem, self.N)
-        L = self.Ls[j]
-        ra, rb = ir * L / self.N, (ir + 1) * L / self.N
-        pa = -math.pi / 2 + ip * math.pi / self.N
-        pb = pa + math.pi / self.N
-        return j, (ra, rb), (pa, pb)
-
     def mu_weights(self):
         """Invariant-measure mass of every box, normalized to sum 1."""
         N = self.N
@@ -114,9 +104,6 @@ class UlamOperator:
     def transfer_matrix(self):
         """Matrix acting on box densities (adjoint of the pushforward)."""
         return self.P.T.tocsr()
-
-    def forward_density(self, h):
-        return self.P.T @ h
 
     def row_sum_defect(self):
         return float(np.max(np.abs(self.P.sum(axis=1).A1 - 1.0)))

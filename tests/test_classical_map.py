@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from lorentzgas import ScattererConfig, ClassicalMap, config_metrics
 from lorentzgas import classical_map
-from lorentzgas.classical_map import (PhasePoint, free_flight, time_reverse,
+from lorentzgas.classical_map import (PhasePoint, time_reverse,
                                       homogeneity_index, singularity_distance,
-                                      _first_circle_hits)
-from lorentzgas.errors import NoCollision
+                                      _first_hits)
+from lorentzgas.errors import NoCollision, Tangential
 
 
 def four_disk(shift=0.0):
@@ -138,36 +138,66 @@ def test_batch_on_profile_config_is_the_scalar_map():
                                                  res.tau)
 
 
-def _window_scan(config, q, v, flight_cap, launch=None, max_cells=3):
-    """Reference batch search: every circle image of the cell window in
-    turn, in the discriminant form of _first_circle_hits."""
+def _window_scan(config, q, v, flight_cap, launch=None):
+    """Reference search for circle configs: every image whose disc can lie
+    within the cap of a ray start, in blocks in order of distance from the
+    base cell (a ray skips the blocks it cannot reach before its best hit),
+    in the discriminant form of _first_hits; hits past the cap are dropped."""
+    scs = config.scatterers
+    m = math.ceil(flight_cap) + 3
+    j, ox, oy = (a.ravel() for a in np.meshgrid(
+        np.arange(len(scs)), np.arange(-m, m + 1), np.arange(-m, m + 1),
+        indexing="ij"))
+    Cx = np.array([sc.center[0] for sc in scs])[j] + ox
+    Cy = np.array([sc.center[1] for sc in scs])[j] + oy
+    R2 = np.array([sc.R ** 2 for sc in scs])[j]
+    D = np.hypot(Cx - 0.5, Cy - 0.5) - np.array([sc.R for sc in scs])[j]
+    order = np.argsort(D)
+    rho = np.hypot(q[:, 0] - 0.5, q[:, 1] - 0.5)
     best_t = np.full(len(q), np.inf)
     best_j = np.full(len(q), -1, dtype=int)
     best_off = np.zeros((len(q), 2))
-    qx, qy, vx, vy = q[:, 0], q[:, 1], v[:, 0], v[:, 1]
-    q2 = qx * qx + qy * qy
-    cells = range(-max_cells, max_cells + 1)
-    reach = min(flight_cap, max_cells * 2.0) + math.sqrt(2.0)
-    for j, sc in enumerate(config.scatterers):
-        for ox in cells:
-            for oy in cells:
-                Cx, Cy = sc.center[0] + ox, sc.center[1] + oy
-                if math.hypot(Cx - 0.5, Cy - 0.5) > reach + sc.R:
-                    continue
-                b = (qx - Cx) * vx + (qy - Cy) * vy
-                c = q2 - 2.0 * (qx * Cx + qy * Cy) \
-                    + (Cx * Cx + Cy * Cy) - sc.R ** 2
-                disc = b * b - c
-                valid = disc > 0
-                t1 = -b - np.sqrt(disc, where=valid,
-                                  out=np.zeros_like(disc))
-                hit = valid & (t1 > 1e-11) & (t1 < best_t)
-                if ox == 0 and oy == 0 and launch is not None:
-                    hit &= launch != j
-                best_t[hit] = t1[hit]
-                best_j[hit] = j
-                best_off[hit] = (ox, oy)
+    for a in range(0, len(order), 256):
+        blk = order[a:a + 256]
+        rays = np.flatnonzero(np.minimum(best_t, flight_cap) >= D[blk[0]] - rho)
+        if not rays.size:
+            continue
+        qx, qy = q[rays, :1], q[rays, 1:]
+        vx, vy = v[rays, :1], v[rays, 1:]
+        bx, by = Cx[blk], Cy[blk]
+        b = (qx - bx) * vx + (qy - by) * vy
+        c = (qx * qx + qy * qy) - 2.0 * (qx * bx + qy * by) \
+            + (bx * bx + by * by) - R2[blk]
+        disc = b * b - c
+        valid = disc > 0
+        t1 = -b - np.sqrt(disc, where=valid, out=np.zeros_like(disc))
+        hit = valid & (t1 > 1e-11)
+        if launch is not None:
+            hit &= ~((j[blk] == launch[rays, None]) & (ox[blk] == 0)
+                     & (oy[blk] == 0))
+        t1 = np.where(hit, t1, np.inf)
+        k = np.argmin(t1, axis=1)
+        tk = t1[np.arange(rays.size), k]
+        win = tk < best_t[rays]
+        best_t[rays[win]] = tk[win]
+        best_j[rays[win]] = j[blk[k[win]]]
+        best_off[rays[win]] = np.stack([ox[blk[k[win]]], oy[blk[k[win]]]],
+                                       axis=-1)
+    past = best_t > flight_cap
+    best_t[past], best_j[past], best_off[past] = np.inf, -1, 0.0
     return best_t, best_j, best_off
+
+
+def _launch_rays(cfg, idx, r, phi):
+    """The outgoing rays of phase points on circles, formed as the map
+    forms them."""
+    R = np.array([cfg[int(i)].R for i in idx])
+    polar = r / R + np.array([cfg[int(i)].rotation for i in idx])
+    nrm = np.stack([np.cos(polar), np.sin(polar)], axis=-1)
+    tng = np.stack([-np.sin(polar), np.cos(polar)], axis=-1)
+    q = np.stack([cfg[int(i)].center for i in idx]) + R[:, None] * nrm
+    v = np.cos(phi)[:, None] * nrm + np.sin(phi)[:, None] * tng
+    return q, v
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -189,15 +219,15 @@ def test_pruned_search_equals_window_scan(make_cfg, cap):
     ang = rng.uniform(0.0, 2 * math.pi, 2000)
     free_v = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     for rays, launch in (((q, v), idx), ((free_q, free_v), None)):
-        got = _first_circle_hits(cfg, *rays, cap, launch=launch)
+        got = _first_hits(cfg, *rays, cap, launch=launch)
         want = _window_scan(cfg, *rays, cap, launch=launch)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
 
 def test_batch_resolves_flights_that_leave_the_window():
-    """At cap 50 on the infinite-horizon config, flights can leave the
-    7x7 cell window; the batch flies those on the scalar map."""
+    """At cap 50 on the infinite-horizon config, flights cross many cells;
+    the batch finds each one's first hit, as the reference scan does."""
     cfg = two_disk()
     T50 = ClassicalMap(cfg, flight_cap=50.0)
     rng = np.random.default_rng(7)
@@ -209,10 +239,10 @@ def test_batch_resolves_flights_that_leave_the_window():
     assert ok.all()
     long = np.flatnonzero(tau > 3.0)
     assert long.size
-    for k in long:
-        res = T50.forward(PhasePoint(int(idx[k]), float(r[k]), float(phi[k])))
-        assert (jj[k], r1[k], p1[k], tau[k]) == (
-            res.next.scatterer, res.next.r, res.next.phi, res.tau)
+    t, j, _ = _window_scan(cfg, *_launch_rays(cfg, idx[long], r[long],
+                                              phi[long]), 50.0,
+                           launch=idx[long])
+    assert np.array_equal(t, tau[long]) and np.array_equal(j, jj[long])
 
 
 def test_candidate_table_is_built_once_per_config(monkeypatch):
@@ -221,7 +251,7 @@ def test_candidate_table_is_built_once_per_config(monkeypatch):
     build = classical_map._candidate_table
 
     def counted(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[1:])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(classical_map, "_candidate_table", counted)
@@ -229,9 +259,28 @@ def test_candidate_table_is_built_once_per_config(monkeypatch):
     idx, r, phi = random_points(T3.config, 5000, seed=9)
     whole = T3.forward_batch(idx, r, phi)
     tail = T3.forward_batch(idx[-100:], r[-100:], phi[-100:])
-    assert calls == [(3.0, 3)]
+    assert calls == [(3.0,)]
     for a, b in zip(whole, tail):
         assert np.array_equal(a[-100:], b)
+
+
+@pytest.mark.parametrize("phi", [s * (math.pi / 2 - e) for s in (1, -1)
+                                 for e in (1e-12, 1e-9)])
+def test_one_grazing_rule(phi):
+    """The batch, the batch step both ways and the one-point map reject
+    the same launches near grazing."""
+    T3 = ClassicalMap(four_disk(), flight_cap=3.0)
+    pts = (np.array([0]), np.array([0.1]), np.array([phi]))
+    ok = T3.forward_batch(*pts)[4][0]
+    steps = [T3.step_batch(*pts, direction=d)[5][0]
+             for d in ("forward", "backward")]
+    try:
+        T3.forward(PhasePoint(0, 0.1, phi))
+        raised = False
+    except Tangential:
+        raised = True
+    assert ok == steps[0] == steps[1] == (not raised)
+    assert ok == (math.pi / 2 - abs(phi) >= T3.grazing_tol)
 
 
 def test_backward_batch_is_time_reversal(T):
@@ -270,12 +319,17 @@ def test_homogeneity_index():
 
 def test_infinite_horizon_corridor_raises():
     cfg = two_disk()
-    # the line x + y = 1/2 clears both disk families by ~0.0036
-    from lorentzgas.classical_map import free_flight_ray
-    q0 = np.array([0.25, 0.25])
-    v = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    # the tangent of disk 0 at polar angle pi/4, x + y = 0.35 sqrt(2),
+    # clears both disk families by ~0.007; a launch 1e-6 off it stays
+    # clear past the cap
+    T20 = ClassicalMap(cfg, flight_cap=20.0)
     with pytest.raises(NoCollision):
-        free_flight_ray(cfg, q0, v, flight_cap=20.0)
+        T20.forward(PhasePoint(0, 0.35 * math.pi / 4, -(math.pi / 2 - 1e-6)))
+    # and so does a free ray on the corridor's midline x + y = 1/2
+    q0 = np.array([[0.25, 0.25]])
+    v = np.array([[1.0, -1.0]]) / math.sqrt(2.0)
+    t, j, _ = _first_hits(cfg, q0, v, 20.0)
+    assert np.isinf(t[0]) and j[0] == -1
 
 
 def test_singularity_distance_positive(T):

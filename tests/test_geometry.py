@@ -195,14 +195,14 @@ def test_infinite_horizon_detected():
     assert config_metrics(two_disk()).horizon == "infinite"
 
 
-# reference values: every launch flown by the scalar free_flight
+# reference values of the map's own flights
 @pytest.mark.parametrize("make, kwargs, expected", [
     (fixture_four_disk, {}, dict(
-        tau_min=0.04999999999999999, tau_max=0.9833485130628953,
+        tau_min=0.04999999999999988, tau_max=0.9833485130628967,
         K_min=3.333333333333333, K_max=6.666666666666666,
         E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
     (two_disk, {}, dict(
-        tau_min=0.007106781186547506, tau_max=float("inf"),
+        tau_min=0.007106781186547451, tau_max=float("inf"),
         K_min=2.8571428571428577, K_max=2.8571428571428577,
         E_max=13.077514939085585, horizon="infinite", flight_cap=50.0)),
     (lambda: fixture_four_disk(cos_coeffs=[0.0, 0.02]), {"n_samples": 300},
@@ -216,13 +216,11 @@ def test_config_metrics_pinned(make, kwargs, expected):
 
 
 def test_config_metrics_memoised_per_instance(monkeypatch):
-    """Every flight, scalar or batch, goes through one of these two."""
+    """Every flight, batch or one-point, goes through the one search."""
     flights = []
-    for name in ("free_flight_ray", "_first_circle_hits"):
-        fn = getattr(classical_map, name)
-        monkeypatch.setattr(classical_map, name,
-                            lambda *a, fn=fn, **kw: flights.append(1)
-                            or fn(*a, **kw))
+    fn = classical_map._first_hits
+    monkeypatch.setattr(classical_map, "_first_hits",
+                        lambda *a, **kw: flights.append(1) or fn(*a, **kw))
     cfg = four_disk()
     met = config_metrics(cfg)
     assert flights
@@ -233,15 +231,22 @@ def test_config_metrics_memoised_per_instance(monkeypatch):
     assert flights
 
 
-@pytest.mark.parametrize("make", [fixture_four_disk, two_disk])
+def profile_four_disk():
+    return fixture_four_disk(cos_coeffs=[0.0, 0.02])
+
+
+@pytest.mark.parametrize("make", [fixture_four_disk, two_disk,
+                                  profile_four_disk])
 def test_batch_flights_match_scalar_on_metric_launches(make):
+    """A flight does not depend on the batch that flies it: every metric
+    launch, flown alone by free_flight, equals its batch flight."""
     cfg = make()
     idx, r, phi = _launches(cfg, 4000, 0)
     _, _, _, tau, ok = ClassicalMap(cfg).forward_batch(idx, r, phi)
     assert ok.all()
     for k in range(len(idx)):
         x = PhasePoint(int(idx[k]), float(r[k]), float(phi[k]))
-        assert abs(tau[k] - free_flight(cfg, x).tau) < 1e-12
+        assert tau[k] == free_flight(cfg, x).tau
 
 
 def test_deformation_distance_zero_and_symmetry():

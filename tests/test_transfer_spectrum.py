@@ -26,10 +26,9 @@ class _IdentityMap:
 
     def __init__(self, config):
         self.config = config
-        self.all_circles = True
         self.flight_cap = 1.0
 
-    def forward_batch(self, idx, r, phi, max_cells=3):
+    def forward_batch(self, idx, r, phi):
         n = len(np.asarray(r))
         return (np.asarray(idx), np.asarray(r), np.asarray(phi),
                 np.ones(n), np.ones(n, dtype=bool))
@@ -162,8 +161,8 @@ def test_limit_stats_zero_observable():
 class _DyingIdentityMap(_IdentityMap):
     """Identity map under which every orbit on scatterer 0 dies at once."""
 
-    def forward_batch(self, idx, r, phi, max_cells=3):
-        jj, r1, p1, tau, _ = super().forward_batch(idx, r, phi, max_cells)
+    def forward_batch(self, idx, r, phi):
+        jj, r1, p1, tau, _ = super().forward_batch(idx, r, phi)
         return jj, r1, p1, tau, np.asarray(idx) != 0
 
 
