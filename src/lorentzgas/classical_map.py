@@ -491,14 +491,14 @@ def pointwise_images(fmap, idx, r, phi):
 
 
 def homogeneity_index(phi, k0=DEFAULT_K0):
-    """Index k of the homogeneity strip containing phi (0 = central strip)."""
-    u = np.pi / 2 - abs(phi)
-    if u * k0 * k0 > 1.0:
-        return 0
-    if u <= 0:
-        return int(np.sign(phi)) * 10 ** 9
-    k = int(np.floor(1.0 / np.sqrt(u)))
-    return k if phi > 0 else -k
+    """Index k of the homogeneity strip containing phi (0 = central strip,
+    +-10**9 at or past grazing); an int, or an int array for an array."""
+    phi = np.asarray(phi, dtype=float)
+    u = np.pi / 2 - np.abs(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(u <= 0, 10 ** 9, np.floor(1.0 / np.sqrt(u)))
+    k = np.where(u * k0 * k0 > 1.0, 0, np.where(phi > 0, k, -k)).astype(int)
+    return int(k) if k.ndim == 0 else k
 
 
 def _probe_slopes(config, x):
@@ -513,58 +513,51 @@ def singularity_distance(x, map_def, n=1, homog=False, probe_radius=0.05,
     """Estimated phase distance from x to S_{-n} (n=+1) or S_{n} (n=-1).
 
     Probes short segments through x in the stable and unstable directions
-    and bisects where the one-step image (backward for S_{-1}, forward for
-    S_{1}) changes scatterer, fails, or (homog=True) changes strip.
+    and bisects, all intervals in lockstep, where the one-step image
+    (backward for S_{-1}, forward for S_{1}) changes scatterer, fails, or
+    (homog=True) changes strip.
     """
     assert abs(n) == 1
-    config = map_def.config
-    step = map_def.backward if n == 1 else map_def.forward
+    lengths = map_def.config.lengths
+    push = map_def.backward_batch if n == 1 else map_def.forward_batch
 
-    def image(y):
-        if abs(y.phi) >= np.pi / 2:
-            return None
-        try:
-            res = step(y)
-        except (NoCollision, Tangential):
-            return None
-        img = res.next
-        k = homogeneity_index(img.phi, k0) if homog else 0
-        return (img.scatterer, k, img.r, img.phi)
+    def image(s, e):
+        """Rows (ok, scatterer, strip, r, phi) of the images of x + s e."""
+        jj, r1, phi1, _, ok = push(np.full(len(s), x.scatterer),
+                                   x.r + s * e[:, 0], x.phi + s * e[:, 1])
+        k = homogeneity_index(phi1, k0) if homog else np.zeros_like(jj)
+        return np.column_stack([ok, jj, k, r1, phi1])
 
     def separated(a, b, ds):
-        """True if images a, b cannot lie on one smooth branch over step ds."""
-        if (a is None) != (b is None):
-            return True
-        if a is None:
-            return False
-        if a[0] != b[0] or a[1] != b[1]:
-            return True
-        L = config[a[0]].L
-        dr = abs(a[2] - b[2])
-        dr = min(dr, L - dr)
-        jump = np.hypot(dr, a[3] - b[3])
-        stretch = 1.0 / max(min(np.cos(a[3]), np.cos(b[3])), 1e-9)
-        return jump > 50.0 * ds * (1.0 + stretch)
+        """True where images a, b cannot lie on one smooth branch over ds."""
+        ok_a, ok_b = a[:, 0] > 0, b[:, 0] > 0
+        L = lengths[a[:, 1].astype(int)]
+        dr = np.abs(a[:, 3] - b[:, 3])
+        jump = np.hypot(np.minimum(dr, L - dr), a[:, 4] - b[:, 4])
+        stretch = 1.0 / np.maximum(np.minimum(np.cos(a[:, 4]),
+                                              np.cos(b[:, 4])), 1e-9)
+        apart = (a[:, 1] != b[:, 1]) | (a[:, 2] != b[:, 2]) \
+            | (jump > 50.0 * ds * (1.0 + stretch))
+        return np.where(ok_a & ok_b, apart, ok_a != ok_b)
 
-    best = np.inf
-    for slope in _probe_slopes(config, x):
-        e = np.array([1.0, slope])
-        e /= np.linalg.norm(e)
-        ss = np.linspace(-probe_radius, probe_radius, n_probe)
-        imgs = [image(PhasePoint(x.scatterer, x.r + s * e[0], x.phi + s * e[1]))
-                for s in ss]
-        for i in range(len(ss) - 1):
-            if not separated(imgs[i], imgs[i + 1], ss[i + 1] - ss[i]):
-                continue
-            lo, hi = ss[i], ss[i + 1]
-            ilo, ihi = imgs[i], imgs[i + 1]
-            for _ in range(45):
-                mid = 0.5 * (lo + hi)
-                im = image(PhasePoint(x.scatterer, x.r + mid * e[0],
-                                      x.phi + mid * e[1]))
-                if separated(ilo, im, mid - lo):
-                    hi, ihi = mid, im
-                else:
-                    lo, ilo = mid, im
-            best = min(best, abs(0.5 * (lo + hi)))
-    return best
+    E = np.array([[1.0, s] for s in _probe_slopes(map_def.config, x)])
+    E /= [[np.linalg.norm(v)] for v in E]
+    ss = np.linspace(-probe_radius, probe_radius, n_probe)
+    e = np.repeat(E, n_probe, axis=0)
+    s = np.tile(ss, len(E))
+    imgs = image(s, e)
+    # neighbours on one probe segment, not the last probe of one and the
+    # first of the other
+    cut = np.flatnonzero(separated(imgs[:-1], imgs[1:], s[1:] - s[:-1])
+                         & (np.arange(len(s) - 1) % n_probe < n_probe - 1))
+    if not cut.size:
+        return np.inf
+    lo, hi, e, ilo = s[cut], s[cut + 1], e[cut], imgs[cut]
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        im = image(mid, e)
+        sep = separated(ilo, im, mid - lo)
+        hi = np.where(sep, mid, hi)
+        lo = np.where(sep, lo, mid)
+        ilo = np.where(sep[:, None], ilo, im)
+    return np.abs(0.5 * (lo + hi)).min()

@@ -9,7 +9,7 @@ test-function dictionary; they are lower bounds by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -47,12 +47,6 @@ class NormParams:
             raise ValidationFailed("eps0", "need eps0 < delta0")
 
 
-def strip_indices(phi, k0=DEFAULT_K0):
-    """Homogeneity strip index of each angle in an array."""
-    return np.asarray([homogeneity_index(float(p), k0)
-                       for p in np.atleast_1d(phi)], dtype=int)
-
-
 class StableCurve:
     """A stable curve as the cubic graph of phi_W over an r-interval."""
 
@@ -74,7 +68,7 @@ class StableCurve:
         self.k0 = int(k0)
         self.spline = CubicSpline(r, phi)
         self.deriv = self.spline.derivative()
-        ks = strip_indices(phi, self.k0)
+        ks = homogeneity_index(phi, self.k0)
         if require_homogeneous and np.unique(ks).size > 1:
             raise CurveNotHomogeneous(
                 f"strip indices {sorted(set(int(k) for k in ks))} on one curve")
@@ -226,21 +220,19 @@ class GenerationTree:
         return self.levels[level]
 
 
-def _branch_key(y, k0):
-    return (y.scatterer, int(homogeneity_index(y.phi, k0)))
-
-
 class _PullSampler:
     """Backward samples along a curve with one-step stable Jacobians."""
 
-    def __init__(self, map_def, curve):
+    def __init__(self, map_def, curve, k0):
         self.map_def = map_def
         self.curve = curve
+        self.k0 = k0
 
     def batch(self, rs):
-        """(preimage point, one-step Jacobian of T along the preimage), or
-        None where the inverse step fails or either end is within the
-        grazing tolerance, for each curve parameter in rs."""
+        """(preimage point, one-step Jacobian of T along the preimage,
+        branch key (scatterer, strip) of the preimage), or None where the
+        inverse step fails or either end is within the grazing tolerance,
+        for each curve parameter in rs."""
         rs = np.asarray(rs, dtype=float)
         xphi = np.asarray(self.curve.phi_at(rs), dtype=float)
         slope = np.asarray(self.curve.slope_at(rs), dtype=float)
@@ -251,68 +243,75 @@ class _PullSampler:
         u1 = A[:, 0, 0] + A[:, 0, 1] * slope
         u2 = A[:, 1, 0] + A[:, 1, 1] * slope
         jac = np.hypot(1.0, slope) / np.hypot(u1, u2)
+        strip = homogeneity_index(yphi, self.k0)
         return [(PhasePoint(int(jj[i]), float(yr[i]), float(yphi[i])),
-                 float(jac[i])) if ok[i] else None for i in range(rs.size)]
-
-    def __call__(self, r):
-        return self.batch([r])[0]
+                 float(jac[i]), (int(jj[i]), int(strip[i])))
+                if ok[i] else None for i in range(rs.size)]
 
 
 def _pull_node(map_def, node, delta0, k0, n_probe=64, budget=400):
-    """One pullback step: homogeneous pieces of T^-1 of a node's curve."""
+    """One pullback step: homogeneous pieces of T^-1 of a node's curve.
+
+    Probes the curve, bisects every branch or strip change between
+    consecutive probes to 1e-10, all cuts in lockstep, and densifies short
+    runs; each round of probes is one sampler batch.
+    """
     W = node.curve
     a, b = W.interval
-    sampler = _PullSampler(map_def, W)
-    rs = list(np.linspace(a, b, n_probe))
+    sampler = _PullSampler(map_def, W, k0)
+    rs = np.linspace(a, b, n_probe)
     samples = sampler.batch(rs)
 
-    def key_of(s):
-        return None if s is None else _branch_key(s[0], k0)
-
     def jumped(sa, sb):
-        ka, kb = key_of(sa), key_of(sb)
-        if ka != kb:
+        if sa is None or sb is None:
+            return (sa is None) != (sb is None)
+        if sa[2] != sb[2]:
             return True
-        if sa is None:
-            return False
         L = map_def.config[sa[0].scatterer].L
         dr = abs(sb[0].r - sa[0].r)
         return min(dr, L - dr) > 0.2 * L
 
-    # locate branch/strip changes between consecutive probes by bisection
-    runs = []  # lists of (r, y, jac1)
+    # the cut between probes i - 1 and i; lo keeps the left branch, hi the
+    # right one, and tails collect the left branch's samples in between
+    cuts = [i for i in range(1, n_probe) if samples[i - 1] is not None
+            and samples[i] is not None and jumped(samples[i - 1], samples[i])]
+    if len(cuts) > budget:
+        raise RefinementBudgetExceeded("too many cuts on one piece")
+    lo = [rs[i - 1] for i in cuts]
+    slo = [samples[i - 1] for i in cuts]
+    hi = [rs[i] for i in cuts]
+    shi = [samples[i] for i in cuts]
+    hi_at = list(hi)
+    tails = [[] for _ in cuts]
+    live = [c for c in range(len(cuts)) if hi[c] - lo[c] > 1e-10]
+    while live:
+        mids = [0.5 * (lo[c] + hi[c]) for c in live]
+        for c, mid, sm in zip(live, mids, sampler.batch(mids)):
+            if sm is not None and not jumped(slo[c], sm):
+                lo[c], slo[c] = mid, sm
+                tails[c].append((mid, *sm))
+            else:
+                hi[c] = mid
+                if sm is not None and not jumped(sm, shi[c]):
+                    shi[c], hi_at[c] = sm, mid
+        live = [c for c in live if hi[c] - lo[c] > 1e-10]
+
+    runs = []  # lists of (r, preimage, jac1, branch key)
     cur = []
-    n_cuts = 0
-    i = 0
-    while i < len(rs):
-        s = samples[i]
-        if s is not None:
-            if cur and jumped(cur[-1][3], s):
-                n_cuts += 1
-                if n_cuts > budget:
-                    raise RefinementBudgetExceeded("too many cuts on one piece")
-                lo, slo = cur[-1][0], cur[-1][3]
-                hi, shi, hi_at = rs[i], s, rs[i]
-                while hi - lo > 1e-10:
-                    mid = 0.5 * (lo + hi)
-                    sm = sampler(mid)
-                    if sm is not None and not jumped(slo, sm):
-                        lo, slo = mid, sm
-                        cur.append((mid, sm[0], sm[1], sm))
-                    else:
-                        hi = mid
-                        if sm is not None and not jumped(sm, shi):
-                            shi, hi_at = sm, mid
-                runs.append(cur)
-                cur = []
-                if hi_at < rs[i] - 1e-12:
-                    cur.append((hi_at, shi[0], shi[1], shi))
-            cur.append((rs[i], s[0], s[1], s))
-        else:
+    cut_of = {i: c for c, i in enumerate(cuts)}
+    for i, s in enumerate(samples):
+        if s is None:
             if cur:
                 runs.append(cur)
                 cur = []
-        i += 1
+            continue
+        if i in cut_of:
+            c = cut_of[i]
+            runs.append(cur + tails[c])
+            cur = []
+            if hi_at[c] < rs[i] - 1e-12:
+                cur.append((hi_at[c], *shi[c]))
+        cur.append((rs[i], *s))
     if cur:
         runs.append(cur)
 
@@ -320,12 +319,9 @@ def _pull_node(map_def, node, delta0, k0, n_probe=64, budget=400):
     for run in runs:
         # densify short runs so every child has enough knots
         while 4 <= len(run) < 12:
-            extra = []
-            for (ra, *_sa), (rb, *_sb) in zip(run[:-1], run[1:]):
-                mid = 0.5 * (ra + rb)
-                sm = sampler(mid)
-                if sm is not None and not jumped(run[0][3], sm):
-                    extra.append((mid, sm[0], sm[1], sm))
+            mids = [0.5 * (ra[0] + rb[0]) for ra, rb in zip(run[:-1], run[1:])]
+            extra = [(mid, *sm) for mid, sm in zip(mids, sampler.batch(mids))
+                     if sm is not None and not jumped(run[0][1:], sm)]
             if not extra:
                 break
             run = sorted(run + extra, key=lambda t: t[0])
@@ -337,8 +333,8 @@ def _materialize_run(map_def, node, run, delta0, k0):
     """Build homogeneous child pieces from one smooth sample run."""
     if len(run) < 4:
         return []
-    key = _branch_key(run[len(run) // 2][1], k0)
-    run = [p for p in run if _branch_key(p[1], k0) == key]
+    key = run[len(run) // 2][3]
+    run = [p for p in run if p[3] == key]
     if len(run) < 4:
         return []
     par_r = np.array([p[0] for p in run])
@@ -537,7 +533,7 @@ def norm_estimates(h, curves, params=None, eps_list=(1e-3, 3e-3, 1e-2),
             if eps > params.eps0:
                 continue
             w2 = w.translated(eps)
-            ks2 = strip_indices(w2.phi, params.k0)
+            ks2 = homogeneity_index(w2.phi, params.k0)
             if np.unique(ks2).size > 1 or int(ks2[0]) != w.homog_k:
                 continue
             for _name, psi in fns[:5]:

@@ -327,12 +327,12 @@ class ForcedMap:
         return self._land(tr, kick)
 
     def _land(self, tr, kick):
-        r1, phi1, rbar, phibar, margin = apply_reflection(
+        r1, phi1, rbar, phibar, margin, frame = apply_reflection(
             self.config, tr.scatterer, tr.q1 - tr.offset, tr.p1, kick,
             self.grazing_tol)
         nxt = PhasePoint(tr.scatterer, rbar, phibar)
         return ForcedResult(nxt, tr.t1, tr.arc_length, margin, tr,
-                            PhasePoint(tr.scatterer, r1, phi1))
+                            PhasePoint(tr.scatterer, r1, phi1), frame)
 
     def backward(self, x):
         """Invert the map by time reversal: F^-1 = I T_f I K^-1, with
@@ -411,10 +411,9 @@ class ForcedMap:
         if res.grazing_margin < FD_GUARD:
             raise SingularityTooClose("image within guard of grazing")
         tr = res.transcript
-        # the landing frame, at the r1 of apply_reflection
         pre = res.pre_kick
-        frame1 = self.config[pre.scatterer].frame(pre.r)[1:]
-        M = np.column_stack([self._collision_coords(tr, frame1, dq, dp)
+        M = np.column_stack([self._collision_coords(tr, res.landing_frame,
+                                                    dq, dp)
                              for dq, dp in tr.variations])
         if not self.kick.is_zero:
             G = np.eye(2) + self.kick.dg(pre.r, pre.phi,
@@ -471,13 +470,15 @@ class ForcedResult:
     """Outcome of one forced step."""
 
     def __init__(self, nxt, tau, arc_length, grazing_margin, transcript,
-                 pre_kick):
+                 pre_kick, landing_frame):
         self.next = nxt
         self.tau = float(tau)
         self.arc_length = float(arc_length)
         self.grazing_margin = float(grazing_margin)
         self.transcript = transcript
         self.pre_kick = pre_kick
+        # (t, n, K) at the pre-kick landing point
+        self.landing_frame = landing_frame
 
 
 # ----------------------------------------------------------------------
@@ -622,12 +623,13 @@ def apply_reflection(config, j, q_loc, p_minus, kick=None, grazing_tol=GRAZING_T
     """Specular reflection followed by the kick, in collision coordinates.
 
     q_loc is the collision point in the scatterer's base cell.  Returns
-    (r1, phi1, r_bar, phi_bar, grazing_margin) where (r1, phi1) are the
-    pre-kick coordinates.
+    (r1, phi1, r_bar, phi_bar, grazing_margin, frame) where (r1, phi1) are
+    the pre-kick coordinates and frame is (t, n, K) at r1.
     """
     s = config[j]
-    r1 = s.r_of_point(q_loc)
-    _pt, t, n, _K = s.frame(r1)
+    th = s.theta_of_point(q_loc)
+    r1 = float(s.arclength(th))
+    _pt, t, n, K = s.frame_theta(th)
     pn = float(p_minus @ n)
     p_plus = p_minus - 2.0 * pn * n
     phi1 = math.atan2(float(p_plus @ t), float(p_plus @ n))
@@ -635,11 +637,11 @@ def apply_reflection(config, j, q_loc, p_minus, kick=None, grazing_tol=GRAZING_T
     if margin < grazing_tol:
         raise Tangential("collision within grazing tolerance")
     if kick is None or kick.is_zero:
-        return r1, phi1, r1, phi1, margin
+        return r1, phi1, r1, phi1, margin, (t, n, K)
     g1, g2 = kick.g(r1, phi1, s.L)
     rbar = (r1 + g1) % s.L
     phibar = phi1 + g2
     margin_bar = math.pi / 2 - abs(phibar)
     if margin_bar <= 0:
         raise KickEjected("kicked state is no longer outgoing")
-    return r1, phi1, rbar, phibar, min(margin, margin_bar)
+    return r1, phi1, rbar, phibar, min(margin, margin_bar), (t, n, K)

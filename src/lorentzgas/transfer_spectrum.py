@@ -110,32 +110,13 @@ class UlamOperator:
 
 
 def build_ulam(map_def, N=64, S=400, seed=0, require_finite=True):
-    """Monte Carlo Ulam matrix with S cos(phi)-weighted samples per box."""
+    """Monte Carlo Ulam matrix with S cos(phi)-weighted samples per box:
+    the ensemble operator of the one map."""
     if N & (N - 1) != 0 or N <= 0:
         raise ValueError("N must be a power of two")
-    cfg = map_def.config
-    if require_finite and config_metrics(cfg).horizon != "finite":
+    if require_finite and config_metrics(map_def.config).horizon != "finite":
         raise InfiniteHorizon("Ulam discretization requires a finite horizon")
-    part = _Partition(cfg, N)
-    rng = np.random.default_rng(seed)
-    b, j, r, phi = part.sample_boxes(S, rng)
-    jj, r1, p1, ok = _push_points(map_def, j, r, phi)
-    src = b[ok]
-    dst = part.box_of(jj[ok], r1[ok], p1[ok])
-    P = sp.coo_matrix((np.ones(src.size), (src, dst)),
-                      shape=(part.size, part.size)).tocsr()
-    counts = np.asarray(P.sum(axis=1)).ravel()
-    empty = counts == 0
-    if np.any(empty):
-        idx_e = np.nonzero(empty)[0]
-        P = P + sp.coo_matrix((np.ones(idx_e.size), (idx_e, idx_e)),
-                              shape=P.shape).tocsr()
-        counts[empty] = 1.0
-    P = sp.diags(1.0 / counts) @ P
-    return UlamOperator(P=P.tocsr(), N=N, S=S, seed=seed,
-                        n_scatterers=len(cfg.scatterers),
-                        flight_cap=getattr(map_def, "flight_cap", math.nan),
-                        drop_rate=float(1.0 - ok.mean()))
+    return random_operator([map_def], N=N, S=S, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +298,6 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
             raise WeightNotNormalized(
                 f"sum_k nu_k g_k deviates from 1 by {np.max(np.abs(tot-1)):.2e}")
     rows, cols, vals = [], [], []
-    weight_tot = np.zeros(part.size)
     drop_rate = 0.0
     for kk, T in enumerate(maps):
         b, j, r, phi = part.sample_boxes(S, rng)
@@ -331,7 +311,6 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
         rows.append(src)
         cols.append(dst)
         vals.append(w[ok])
-        np.add.at(weight_tot, src, w[ok])
     P = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(part.size, part.size)).tocsr()

@@ -132,9 +132,9 @@ def test_criterion_02_invertibility(classical, forced, capsys):
         assert good.mean() > 0.97
         assert err[good].max() <= 1e-9
 
-        # forced roundtrips: each integrates two ODE flights (~130
-        # roundtrips/s), so the nominal 10^4 cannot fit the runtime cap;
-        # 300 samples here.
+        # forced roundtrips: each integrates two ODE flights (about 350
+        # roundtrips/s on a 2-vCPU VM), so the nominal 10^4 would take
+        # the whole 30 s runtime cap; 300 samples here.
         fcfg = forced.config
         rng = np.random.default_rng(1)
         fi, fr, fp = sample_invariant(fcfg, 300, rng)

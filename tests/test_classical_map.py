@@ -11,7 +11,7 @@ from lorentzgas import classical_map
 from lorentzgas.classical_map import (PhasePoint, time_reverse,
                                       homogeneity_index, singularity_distance,
                                       _first_hits)
-from lorentzgas.errors import NoCollision, Tangential
+from lorentzgas.errors import LorentzGasError, NoCollision, Tangential
 
 
 def four_disk(shift=0.0):
@@ -83,7 +83,7 @@ def test_jacobian_against_finite_differences(T):
                 y = T.forward(PhasePoint(x.scatterer, x.r, x.phi + dp)).next
                 col_p += s * np.array([y.r, y.phi])
             J_fd = np.column_stack([col_r, col_p]) / (2 * h)
-        except Exception:
+        except LorentzGasError:
             continue
         if np.abs(J_fd - J).max() > 1e-3 * np.abs(J).max():
             continue  # straddled a branch cut
@@ -110,7 +110,7 @@ def test_batch_matches_scalar(T):
         x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
         try:
             res = T.forward(x)
-        except Exception:
+        except LorentzGasError:
             continue
         if not ok[i]:
             n_bad += 1
@@ -317,6 +317,36 @@ def test_homogeneity_index():
     assert homogeneity_index(1.2) == expected
 
 
+def _scalar_homogeneity_index(phi, k0=10):
+    """The strip index as the scalar code computed it, one angle at a time."""
+    u = math.pi / 2 - abs(phi)
+    if u * k0 * k0 > 1.0:
+        return 0
+    if u <= 0:
+        return int(np.sign(phi)) * 10 ** 9
+    k = int(np.floor(1.0 / np.sqrt(u)))
+    return k if phi > 0 else -k
+
+
+@pytest.mark.parametrize("k0", [10, 4])
+def test_homogeneity_index_broadcasts(k0):
+    """The array index equals the scalar one elementwise: at the strip
+    boundaries u = 1/k^2 (the central one u = 1/k0^2 among them; for
+    k0 = 4 the angle pi/2 - 1/16 gives exactly u * k0^2 = 1), at and past
+    grazing (u <= 0), and at both signs."""
+    k = np.arange(k0, 4 * k0)
+    u = np.concatenate([1.0 / k0 ** 2 + np.array([-1e-15, 0.0, 1e-15]),
+                        1.0 / k ** 2, 1.0 / k ** 2 + 1e-12, [1e-15, 0.0],
+                        [-1e-9, -0.5], np.linspace(0.0, 1.5, 41)])
+    phi = np.concatenate([math.pi / 2 - u, -(math.pi / 2 - u)])
+    got = homogeneity_index(phi, k0)
+    assert got.dtype.kind == "i" and got.shape == phi.shape
+    want = [_scalar_homogeneity_index(float(p), k0) for p in phi]
+    assert got.tolist() == want
+    assert {type(homogeneity_index(float(p), k0)) for p in phi} == {int}
+    assert [homogeneity_index(float(p), k0) for p in phi] == want
+
+
 def test_infinite_horizon_corridor_raises():
     cfg = two_disk()
     # the tangent of disk 0 at polar angle pi/4, x + y = 0.35 sqrt(2),
@@ -340,6 +370,25 @@ def test_singularity_distance_positive(T):
     assert near < d_far
 
 
+# Distances found by the point-by-point probe and bisection (n, homog).
+SINGULARITY_DISTANCES = [
+    ((0, 0.3, 0.2), 1, False, math.inf),
+    ((0, 0.3, 0.0), 1, False, math.inf),
+    ((0, 0.3, math.pi / 2 - 1e-3), 1, False, 0.0010310305010599932),
+    ((0, 0.3, math.pi / 2 - 1e-3), -1, True, 0.0010310305010599932),
+    ((2, 0.5, -0.7), 1, False, 0.015952822544411344),
+    ((2, 0.5, -0.7), 1, True, 0.01592039854169642),
+    ((2, 0.5, -0.7), -1, False, math.inf),
+    ((1, 1.1, 1.3), 1, True, math.inf),
+    ((1, 1.1, 1.3), -1, False, 0.01697679930242617),
+]
+
+
+@pytest.mark.parametrize("x, n, homog, want", SINGULARITY_DISTANCES)
+def test_singularity_distance_pinned(T, x, n, homog, want):
+    assert singularity_distance(PhasePoint(*x), T, n=n, homog=homog) == want
+
+
 @given(st.integers(0, 3), st.floats(0.05, 0.95), st.floats(-1.4, 1.4))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_property(j, rf, phi):
@@ -349,7 +398,7 @@ def test_roundtrip_property(j, rf, phi):
     try:
         y = T.forward(x).next
         z = T.backward(y).next
-    except Exception:
+    except LorentzGasError:
         return
     L = cfg[x.scatterer].L
     dr = abs(z.r - x.r)

@@ -8,8 +8,8 @@ import pytest
 from lorentzgas import ScattererConfig, ClassicalMap, config_metrics
 from lorentzgas.curve_machinery import (NormParams, StableCurve, curve_distance,
                                         pullback_generation, growth_sums,
-                                        sample_stable_curves, strip_indices,
-                                        norm_estimates)
+                                        sample_stable_curves, norm_estimates)
+from lorentzgas.classical_map import homogeneity_index
 from lorentzgas.curve_machinery import test_fn_distance as fn_distance
 from lorentzgas.errors import (CurveNotHomogeneous, DisjointIntervals,
                                ValidationFailed)
@@ -88,7 +88,7 @@ def test_pulled_back_fn_distance():
 
 
 def test_strip_indices_sign():
-    ks = strip_indices(np.array([0.0, 1.566, -1.566]))
+    ks = homogeneity_index(np.array([0.0, 1.566, -1.566]))
     assert ks[0] == 0
     assert ks[1] > 0
     assert ks[2] == -ks[1]
@@ -104,7 +104,7 @@ def test_sampled_curves_are_homogeneous_stable(setup):
     for w in curves:
         assert w.length <= params.delta0 + 1e-9
         rr = np.linspace(*w.interval, 33)
-        ks = strip_indices(w.phi_at(rr))
+        ks = homogeneity_index(w.phi_at(rr))
         assert np.unique(ks).size == 1
         sl = w.slope_at(rr)
         assert np.all(sl >= lo - 1e-6) and np.all(sl <= hi + 1e-6)
@@ -163,6 +163,13 @@ def test_growth_sums_structure(setup):
         assert np.isfinite(s["sum_b"]) and np.isfinite(s["sum_c"])
     # contraction: the level-sum of stable Jacobians stays bounded
     assert sums[-1]["sum_b"] < 10.0
+    # the tree of the point-by-point bisection these cuts were found with
+    assert [(s["count"], s["sum_a"], s["sum_b"], s["sum_c"], s["sum_d"])
+            for s in sums] == [
+        (1, 1.0, 1.0, 1.0, 1.0),
+        (2, 0.0, 0.6588102124037032, 0.9373342649657872, 0.7927524993256745),
+        (4, 0.0, 0.5367443705702504, 0.9022824673008596, 0.7501523056591262),
+        (26, 0.0, 0.39411645903512377, 0.90530774960679, 0.7745170744350587)]
 
 
 def test_norm_estimates_finite(setup):

@@ -12,7 +12,7 @@ from lorentzgas import classical_map
 from lorentzgas.classical_map import PhasePoint, free_flight
 from lorentzgas.cli import fixture_path
 from lorentzgas.geometry import _launches, deformation_distance
-from lorentzgas.errors import Overlap, ValidationFailed
+from lorentzgas.errors import LorentzGasError, Overlap, ValidationFailed
 
 
 def four_disk(shift=0.0):
@@ -186,7 +186,7 @@ def test_tau_min_against_ray_march():
                        (rng.random() - 0.5) * 3.0)
         try:
             best = min(best, free_flight(cfg, x).tau)
-        except Exception:
+        except LorentzGasError:
             pass
     assert best >= met.tau_min - 1e-9
 

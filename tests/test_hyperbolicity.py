@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lorentzgas import ScattererConfig, ClassicalMap, config_metrics
-from lorentzgas.curve_machinery import NormParams, sample_stable_curves
+from lorentzgas.curve_machinery import (NormParams, StableCurve,
+                                        sample_stable_curves)
 from lorentzgas.hyperbolicity import (ConeField, adapted_norm,
                                       check_cone_invariance, expansion_stats,
                                       distortion_constant,
@@ -14,8 +15,9 @@ from lorentzgas.hyperbolicity import (ConeField, adapted_norm,
                                       curvature_propagation,
                                       measure_jacobian_bound,
                                       verify_hypotheses)
-from lorentzgas.classical_map import PhasePoint
-from lorentzgas.errors import ValidationFailed
+from lorentzgas.classical_map import PhasePoint, homogeneity_index
+from lorentzgas.cli import fixture_path, load_forced
+from lorentzgas.errors import LorentzGasError, ValidationFailed
 
 
 def four_disk():
@@ -113,6 +115,74 @@ def test_distortion_estimate_and_refinement(setup):
     # (the acceptance suite checks the tighter bound at full scale)
     b = distortion_constant(T, curves, n=3, pairs_per_curve=40, seed=5)
     assert abs(b["C_d_W"] - a["C_d_W"]) <= 0.5 * a["C_d_W"]
+
+
+def _scalar_distortion(map_def, curves, n, pairs_per_curve, seed):
+    """distortion_constant as a loop of scalar steps, one orbit at a time."""
+    def orbit(x, slope):
+        jw, jmu = [], []
+        itinerary = [(x.scatterer, homogeneity_index(x.phi))]
+        v = np.array([1.0, slope])
+        for _ in range(n):
+            res, J = map_def.step(x)
+            u = J.m @ v
+            jw.append(float(np.linalg.norm(u) / np.linalg.norm(v)))
+            jmu.append(abs(J.det) * math.cos(res.next.phi) / math.cos(x.phi))
+            x = res.next
+            itinerary.append((x.scatterer, homogeneity_index(x.phi)))
+            v = u / np.linalg.norm(u)
+        return np.prod(jw), np.prod(jmu), itinerary
+
+    rng = np.random.default_rng(seed)
+    qw, qmu = [], []
+    for W in curves:
+        a, b = W.interval
+        for _ in range(pairs_per_curve):
+            r1, r2 = sorted(rng.uniform(a, b, 2))
+            if r2 - r1 < 1e-7:
+                continue
+            try:
+                w1, m1, s1 = orbit(W.point(r1), float(W.slope_at(r1)))
+                w2, m2, s2 = orbit(W.point(r2), float(W.slope_at(r2)))
+            except LorentzGasError:
+                continue
+            if s1 != s2:
+                continue
+            d = (r2 - r1) * math.hypot(1.0, float(W.slope_at(0.5 * (r1 + r2))))
+            qw.append(abs(math.log(w1) - math.log(w2)) / d ** (1.0 / 3.0))
+            qmu.append(abs(math.log(m1) - math.log(m2)) / d ** (1.0 / 3.0))
+    return {"C_d_W": float(np.quantile(qw, 0.95)),
+            "C_d_mu": float(np.quantile(qmu, 0.95)),
+            "C_d_W_sup": max(qw), "C_d_mu_sup": max(qmu), "pairs": len(qw)}
+
+
+@pytest.mark.parametrize("name", ["classical", "forced"])
+def test_distortion_matches_scalar_orbits(setup, name):
+    """The array orbits give the pairs and constants of scalar orbits."""
+    if name == "classical":
+        cfg, met, T = setup
+        curves = sample_stable_curves(cfg, met, 15, NormParams(), seed=4)
+        # a curve across four strip boundaries near grazing: pairs that
+        # straddle one have different itineraries and are skipped
+        curves.append(StableCurve.from_function(
+            0, 0.50, 0.52, lambda r: math.pi / 2 - 1 / 144 - 0.2 * (r - 0.51),
+            require_homogeneous=False))
+        n, pairs = 3, 20
+    else:
+        T = load_forced(fixture_path("forced_four_disk"), 3.0)[0]
+        curves = sample_stable_curves(T.config, config_metrics(T.config), 4,
+                                      NormParams(), seed=3)
+        n, pairs = 3, 6
+    got = distortion_constant(T, curves, n=n, pairs_per_curve=pairs, seed=5)
+    want = _scalar_distortion(T, curves, n, pairs, seed=5)
+    assert got["pairs"] == want["pairs"] > 10
+    for key in ("C_d_W", "C_d_W_sup"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+    if name == "forced":
+        for key in ("C_d_mu", "C_d_mu_sup"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12), key
+    else:  # roundoff of a measure Jacobian identically 1
+        assert max(got["C_d_mu_sup"], want["C_d_mu_sup"]) < 1e-8
 
 
 def test_measure_jacobian_identity(setup):

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from lorentzgas import ScattererConfig, ClassicalMap
 from lorentzgas.transfer_spectrum import (build_ulam, spectrum, random_operator,
                                           operator_distance, sample_invariant,
-                                          correlations, limit_stats)
+                                          correlations, limit_stats,
+                                          _Partition)
 from lorentzgas.errors import InfiniteHorizon, WeightNotNormalized
 
 
@@ -38,6 +39,36 @@ class _IdentityMap:
 def op16():
     T = ClassicalMap(four_disk(), flight_cap=2.5)
     return build_ulam(T, N=16, S=60, seed=0)
+
+
+def _unit_weight_ulam(map_def, N, S, seed):
+    """The single-map Ulam assembly as build_ulam wrote it before it became
+    the one-map ensemble: unit weights, empty rows set to the identity."""
+    part = _Partition(map_def.config, N)
+    b, j, r, phi = part.sample_boxes(S, np.random.default_rng(seed))
+    jj, r1, p1, _, ok = map_def.forward_batch(j, r, phi)
+    P = sp.coo_matrix((np.ones(ok.sum()),
+                       (b[ok], part.box_of(jj[ok], r1[ok], p1[ok]))),
+                      shape=(part.size, part.size)).tocsr()
+    counts = np.asarray(P.sum(axis=1)).ravel()
+    empty = np.flatnonzero(counts == 0)
+    P = P + sp.coo_matrix((np.ones(empty.size), (empty, empty)),
+                          shape=P.shape).tocsr()
+    counts[empty] = 1.0
+    return (sp.diags(1.0 / counts) @ P).tocsr(), float(1.0 - ok.mean())
+
+
+@pytest.mark.parametrize("cap, N, S, seed", [(2.5, 16, 60, 0),
+                                          (0.2, 8, 40, 2)])
+def test_build_ulam_is_the_unit_weight_assembly(cap, N, S, seed):
+    """op16's inputs, and a cap short enough to drop samples and rows."""
+    T = ClassicalMap(four_disk(), flight_cap=cap)
+    op = build_ulam(T, N=N, S=S, seed=seed)
+    P, drop = _unit_weight_ulam(T, N, S, seed)
+    for a in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(op.P, a), getattr(P, a)), a
+    assert op.drop_rate == drop
+    assert (drop > 0) == (cap < 1.0)
 
 
 def test_identity_map_gives_identity_matrix():
@@ -83,7 +114,6 @@ def test_arnoldi_matches_dense(op16):
 
 def test_density_matches_invariant_weights(op16):
     """The leading Ulam density approximates the invariant box masses."""
-    from lorentzgas.transfer_spectrum import _Partition
     s = spectrum(op16, k=2)
     w = _Partition(four_disk(), op16.N).mu_weights()
     assert np.abs(s.density - w).sum() < 0.2
