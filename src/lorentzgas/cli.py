@@ -312,6 +312,10 @@ def cmd_spectrum(args, runner):
     if args.path:
         gammas = [float(g) for g in args.path]
         shift_index = args.shift_scatterer
+        if not 0 <= shift_index < len(cfg.scatterers):
+            raise ValidationFailed(
+                "shift-scatterer", f"{shift_index} is not a scatterer index "
+                f"of a {len(cfg.scatterers)}-scatterer config")
 
         def family(g):
             d = cfg.to_dict()
@@ -321,8 +325,7 @@ def cmd_spectrum(args, runner):
 
         recs = track_path(family, gammas, N=args.N, S=args.S,
                           seed=args.seed, k=args.k)
-        runner.write_json("spectrum_path.json", [
-            {k2: v for k2, v in r.items()} for r in recs])
+        runner.write_json("spectrum_path.json", recs)
         return
     T, _ = _capped_map(cfg, args.flight_cap)
     op = build_ulam(T, N=args.N, S=args.S, seed=args.seed)
@@ -385,30 +388,30 @@ def build_parser():
 
     s = sub.add_parser("geom", help="validate a config and report metrics")
     s.add_argument("config")
-    s.set_defaults(fn=cmd_geom, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_geom)
 
     s = sub.add_parser("map", help="classical map sanity diagnostics")
     s.add_argument("config")
     s.add_argument("--samples", type=int, default=10000)
-    s.set_defaults(fn=cmd_map, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_map)
 
     s = sub.add_parser("forced", help="forced map diagnostics")
     s.add_argument("config", help="forced-config JSON (base, force, kick)")
     s.add_argument("--samples", type=int, default=200)
-    s.set_defaults(fn=cmd_forced, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_forced)
 
     s = sub.add_parser("verify", help="hyperbolicity hypothesis report")
     s.add_argument("config")
     s.add_argument("--samples", type=int, default=20000)
     s.add_argument("--curves", type=int, default=40)
-    s.set_defaults(fn=cmd_verify, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("curves", help="generation-tree growth sums")
     s.add_argument("config")
     s.add_argument("--curves", type=int, default=5)
     s.add_argument("--depth", type=int, default=4)
     s.add_argument("--sigma", type=float, default=0.8333333333333334)
-    s.set_defaults(fn=cmd_curves, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_curves)
 
     s = sub.add_parser("distance", help="map distance between two configs")
     s.add_argument("config_a")
@@ -416,8 +419,7 @@ def build_parser():
     s.add_argument("--grid", type=int, default=96)
     s.add_argument("--force", action="store_true",
                    help="config_b is a forced-config JSON")
-    s.set_defaults(fn=cmd_distance,
-                   configs=lambda a: [a.config_a, a.config_b])
+    s.set_defaults(fn=cmd_distance)
 
     s = sub.add_parser("spectrum", help="Ulam spectrum / gamma path")
     s.add_argument("config")
@@ -427,35 +429,31 @@ def build_parser():
     s.add_argument("--path", nargs="*", default=None,
                    help="gamma values for a disk-shift path")
     s.add_argument("--shift-scatterer", type=int, default=0)
-    s.set_defaults(fn=cmd_spectrum, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_spectrum)
 
     s = sub.add_parser("correlate", help="correlation decay series")
     s.add_argument("config")
     s.add_argument("--n", type=int, default=40)
     s.add_argument("--points", type=int, default=200000)
-    s.set_defaults(fn=cmd_correlate, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_correlate)
 
     s = sub.add_parser("stats", help="CLT variance and rate curves")
     s.add_argument("config")
     s.add_argument("--points", type=int, default=2000)
-    s.set_defaults(fn=cmd_stats, configs=lambda a: [a.config])
+    s.set_defaults(fn=cmd_stats)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config_args = args.configs(args)
         resolved = []
-        for i, c in enumerate(config_args):
-            rc = _resolve_config_path(c)
-            resolved.append(rc)
         for name in ("config", "config_a", "config_b"):
             if hasattr(args, name):
-                setattr(args, name, _resolve_config_path(getattr(args, name)))
+                resolved.append(_resolve_config_path(getattr(args, name)))
+                setattr(args, name, resolved[-1])
         params = {k: v for k, v in vars(args).items()
-                  if k not in ("fn", "configs", "out_dir")
-                  and not callable(v)}
+                  if k not in ("fn", "out_dir") and not callable(v)}
         manifest = ExperimentManifest(args.cmd, params, args.seed, resolved)
         runner = _Runner(manifest, args.out_dir)
         rc = args.fn(args, runner)

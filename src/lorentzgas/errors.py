@@ -73,10 +73,6 @@ class WeightNotNormalized(LorentzGasError):
     """Random-ensemble weight function does not integrate to one."""
 
 
-class EigenvalueCollision(LorentzGasError):
-    """Eigenvalue continuation along a path became ambiguous."""
-
-
 class ValidationFailed(LorentzGasError):
     """A config file or manifest failed validation."""
 

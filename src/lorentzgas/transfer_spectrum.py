@@ -11,14 +11,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import subspace_angles
+from scipy.optimize import linear_sum_assignment
 
-from .errors import (InfiniteHorizon, NoConvergence, WeightNotNormalized,
-                     EigenvalueCollision)
+from .errors import InfiniteHorizon, NoConvergence, WeightNotNormalized
 from .geometry import config_metrics
 
 __all__ = ["UlamOperator", "SpectrumResult", "build_ulam", "spectrum",
            "track_path", "random_operator", "operator_distance",
            "sample_invariant", "correlations", "limit_stats"]
+
+RESIDUAL_TOL = 1e-8     # largest accepted eigenpair residual
+ARNOLDI_MAXITER = 20000
+WEIGHT_TOL = 1e-6       # |sum nu - 1| accepted for ensemble weights
+CLUSTER_TOL = 0.02      # |lambda| >= |lambda_0| - CLUSTER_TOL: leading cluster
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +115,12 @@ class UlamOperator:
         return float(np.max(np.abs(self.P.sum(axis=1).A1 - 1.0)))
 
 
-def build_ulam(map_def, N=64, S=400, seed=0, require_finite=True):
+def build_ulam(map_def, N=64, S=400, seed=0):
     """Monte Carlo Ulam matrix with S cos(phi)-weighted samples per box:
     the ensemble operator of the one map."""
     if N & (N - 1) != 0 or N <= 0:
         raise ValueError("N must be a power of two")
-    if require_finite and config_metrics(map_def.config).horizon != "finite":
+    if config_metrics(map_def.config).horizon != "finite":
         raise InfiniteHorizon("Ulam discretization requires a finite horizon")
     return random_operator([map_def], N=N, S=S, seed=seed)
 
@@ -133,9 +139,9 @@ class SpectrumResult:
     residuals: np.ndarray
     vectors: np.ndarray = field(repr=False, default=None)
 
-    def leading_cluster_rank(self, tol=0.02):
+    def leading_cluster_rank(self):
         lam = np.abs(self.eigenvalues)
-        return int(np.sum(lam >= lam[0] - tol))
+        return int(np.sum(lam >= lam[0] - CLUSTER_TOL))
 
     def to_dict(self):
         return {"eigenvalues": [[float(z.real), float(z.imag)]
@@ -144,12 +150,12 @@ class SpectrumResult:
                 "residuals": [float(x) for x in self.residuals]}
 
 
-def spectrum(op, k=6, tol=1e-8, seed=0, maxiter=20000):
+def spectrum(op, k=6, seed=0):
     """Leading eigenpairs of the transfer matrix, residual-checked.
 
     Uses restarted Arnoldi iteration for large problems and a dense
     eigensolver for small ones; raises NoConvergence if any requested
-    residual exceeds tol.
+    residual exceeds RESIDUAL_TOL.
     """
     A = op.transfer_matrix() if isinstance(op, UlamOperator) else sp.csr_matrix(op).T
     n = A.shape[0]
@@ -161,7 +167,7 @@ def spectrum(op, k=6, tol=1e-8, seed=0, maxiter=20000):
         v0 = rng.random(n)
         try:
             lam, vec = spla.eigs(A, k=min(k + 4, n - 2), which="LM",
-                                 v0=v0, maxiter=maxiter, tol=0)
+                                 v0=v0, maxiter=ARNOLDI_MAXITER, tol=0)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence("Arnoldi iteration did not converge") from exc
     order = np.argsort(-np.abs(lam))
@@ -170,8 +176,9 @@ def spectrum(op, k=6, tol=1e-8, seed=0, maxiter=20000):
     res = np.array([np.linalg.norm(A @ vec[:, i] - lam[i] * vec[:, i])
                     / max(np.linalg.norm(vec[:, i]), 1e-300)
                     for i in range(lam.size)])
-    if np.any(res > tol):
-        raise NoConvergence(f"residuals {res.max():.2e} above {tol:.0e}")
+    if np.any(res > RESIDUAL_TOL):
+        raise NoConvergence(
+            f"residuals {res.max():.2e} above {RESIDUAL_TOL:.0e}")
     dens = vec[:, 0].real.copy()
     if dens.sum() < 0:
         dens = -dens
@@ -183,84 +190,46 @@ def spectrum(op, k=6, tol=1e-8, seed=0, maxiter=20000):
                           residuals=res, vectors=vec)
 
 
-def _match(lam0, v0, lam1, v1):
-    """Greedy nearest-modulus then eigenvector-overlap matching.
-
-    Returns the permutation of (lam1, v1) aligning with (lam0, v0), or
-    raises EigenvalueCollision when two candidates are indistinguishable.
-    """
-    used = set()
-    perm = []
-    for i in range(lam0.size):
-        d = np.abs(np.abs(lam1) - np.abs(lam0[i]))
-        d[list(used)] = np.inf
-        cands = np.argsort(d)
-        a, b = cands[0], cands[1] if cands.size > 1 else cands[0]
-        if a != b and abs(d[a] - d[b]) < 1e-6:
-            ova = abs(np.vdot(v0[:, i], v1[:, a]))
-            ovb = abs(np.vdot(v0[:, i], v1[:, b]))
-            if abs(ova - ovb) < 1e-3:
-                raise EigenvalueCollision(
-                    f"ambiguous continuation at eigenvalue {lam0[i]}")
-            a = a if ova > ovb else b
-        used.add(int(a))
-        perm.append(int(a))
-    return perm
-
-
-def track_path(family, gammas, N=64, S=400, seed=0, k=6, max_refine=4):
+def track_path(family, gammas, N=64, S=400, seed=0, k=6):
     """Continue the leading spectrum along a one-parameter map family.
 
-    family: gamma -> MapDef. Matches eigenvalues across consecutive
-    gammas by modulus and eigenvector overlap, halving the gamma step on
-    collisions (up to max_refine times). Returns a list of records.
+    family: gamma -> MapDef. One spectrum is computed per gamma, and its
+    k eigenvalues are paired with those at gammas[0] by the assignment
+    that minimises the total |lambda_i(gamma_0) - lambda_j(gamma)|. Ties
+    cost the same, so a cluster of equal moduli (a conjugate or a
+    symmetry-degenerate pair) pairs without ambiguity. An eigenvalue that
+    enters the top k from below is still paired with some base eigenvalue,
+    however far: that is the truncation at k.
+
+    Each record holds the aligned eigenvalues, their drift from the base,
+    the gap 1 - |lambda_1|, the gamma spectrum's leading cluster rank and
+    principal_angle_sin: the sine of the largest principal angle between
+    the base and gamma eigenvector spans of the base's leading cluster.
+    That sine is ||Pi_gamma - Pi_0|| for the orthogonal projections onto
+    the two spans; for rank 1 it is sqrt(1 - |<v_0, v_gamma>|^2) of the
+    unit leading eigenvectors.
     """
     gammas = list(gammas)
-    specs = {}
-
-    def spec_at(g):
-        if g not in specs:
-            specs[g] = spectrum(build_ulam(family(g), N=N, S=S, seed=seed),
-                                k=k, seed=seed)
-        return specs[g]
-
-    def continue_between(lam0, v0, g0, g1, depth):
-        """Align the spectrum at g1 with the aligned (lam0, v0) at g0."""
-        s1 = spec_at(g1)
-        try:
-            perm = _match(lam0, v0, s1.eigenvalues, s1.vectors)
-        except EigenvalueCollision:
-            if depth >= max_refine:
-                raise
-            gm = 0.5 * (g0 + g1)
-            lam_m, v_m = continue_between(lam0, v0, g0, gm, depth + 1)
-            return continue_between(lam_m, v_m, gm, g1, depth + 1)
-        return s1.eigenvalues[perm], s1.vectors[:, perm]
-
-    base = spec_at(gammas[0])
+    specs = [spectrum(build_ulam(family(g), N=N, S=S, seed=seed), k=k,
+                      seed=seed) for g in gammas]
+    base = specs[0]
+    lam0 = base.eigenvalues
+    rank = base.leading_cluster_rank()
     records = []
-    prev_g = gammas[0]
-    lam_prev, vec_prev = base.eigenvalues, base.vectors
-    for g in gammas:
-        if g == gammas[0]:
-            lam, vec = base.eigenvalues, base.vectors
-        else:
-            lam, vec = continue_between(lam_prev, vec_prev, prev_g, g, 0)
-        s = spec_at(g)
-        v0 = base.vectors[:, 0]
-        v0 = v0 / np.linalg.norm(v0)
-        vg = vec[:, 0] / np.linalg.norm(vec[:, 0])
-        ov = min(abs(np.vdot(v0, vg)), 1.0)
+    for g, s in zip(gammas, specs):
+        _, perm = linear_sum_assignment(
+            np.abs(lam0[:, None] - s.eigenvalues[None, :]))
+        lam = s.eigenvalues[perm]
+        theta = subspace_angles(base.vectors[:, :rank],
+                                s.vectors[:, perm[:rank]])
         records.append({
             "gamma": g,
             "eigenvalues": lam,
             "gap": float(1.0 - abs(lam[1])) if lam.size > 1 else math.nan,
-            "drift": np.abs(lam - base.eigenvalues),
-            "principal_angle_sin": math.sqrt(max(0.0, 1.0 - ov * ov)),
+            "drift": np.abs(lam - lam0),
+            "principal_angle_sin": float(np.sin(theta.max())),
             "leading_cluster_rank": s.leading_cluster_rank(),
         })
-        prev_g = g
-        lam_prev, vec_prev = lam, vec
     return records
 
 
@@ -268,8 +237,7 @@ def track_path(family, gammas, N=64, S=400, seed=0, k=6, max_refine=4):
 # averaged random operator
 
 
-def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
-                    norm_tol=1e-6):
+def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0):
     """Ulam matrix of an averaged operator over an ensemble of maps.
 
     maps: list of MapDef; nu: probability weights (uniform by default);
@@ -280,7 +248,7 @@ def random_operator(maps, g=None, nu=None, N=64, S=100, seed=0,
     """
     m = len(maps)
     nu = np.full(m, 1.0 / m) if nu is None else np.asarray(nu, dtype=float)
-    if abs(nu.sum() - 1.0) > norm_tol or np.any(nu < 0):
+    if abs(nu.sum() - 1.0) > WEIGHT_TOL or np.any(nu < 0):
         raise WeightNotNormalized("ensemble weights must be a probability "
                                   "vector")
     cfg = maps[0].config

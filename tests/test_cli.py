@@ -129,3 +129,24 @@ def test_curves_subcommand(tmp_path):
     with open(tmp_path / "curves.csv") as fh:
         first = fh.readline()
     assert first.startswith("# manifest: " + man["digest"])
+
+
+def test_spectrum_path_through_a_degenerate_pair(tmp_path):
+    """At seed 1 the two eigenvalues next to 1 are a complex pair at
+    gamma = 3e-4: equal moduli, which the assignment pairs as they come."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        assert run(["--seed", 1, "--out-dir", d, "spectrum", "four_disk",
+                    "--N", 32, "--S", 100, "--path", 0, 3e-4, 1e-3]) == 0
+    with open(a / "spectrum_path.json") as fh:
+        recs = json.load(fh)["payload"]
+    assert [rec["gamma"] for rec in recs] == [0.0, 3e-4, 1e-3]
+    assert recs[0]["drift"] == [0.0] * 6
+    assert read_manifest(a)["outputs"] == read_manifest(b)["outputs"]
+
+
+@pytest.mark.parametrize("index", [9, -1])
+def test_spectrum_path_rejects_shift_scatterer_out_of_range(tmp_path, index):
+    assert run(["--out-dir", tmp_path, "spectrum", "four_disk", "--N", 8,
+                "--S", 4, "--path", 0, 1e-3,
+                "--shift-scatterer", index]) == 2

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lorentzgas import ScattererConfig, ClassicalMap
+from lorentzgas import ScattererConfig, ClassicalMap, transfer_spectrum
+from lorentzgas.cli import _capped_map, fixture_path, load_config
 from lorentzgas.transfer_spectrum import (build_ulam, spectrum, random_operator,
                                           operator_distance, sample_invariant,
                                           correlations, limit_stats,
-                                          _Partition)
+                                          track_path, _Partition)
 from lorentzgas.errors import InfiniteHorizon, WeightNotNormalized
 
 
@@ -134,6 +135,54 @@ def test_ensemble_weight_validation():
     with pytest.raises(WeightNotNormalized):
         random_operator([T, T], g=lambda k, i, r, p: np.full(len(r), 2.0),
                         N=8, S=5)
+
+
+# track_path on the `spectrum --path` family (scatterer 0 of the four_disk
+# fixture shifted by gamma, flight cap 50) at N=32, S=100, seed 0: the
+# records the earlier per-eigenvalue matcher gave, which the assignment
+# must reproduce
+PATH_EIGENVALUES = [
+    [1.0000000000000024, 0.8462099573137991, 0.8433052350428689,
+     0.7280605603783171, -0.6738968318195184, -0.6696101151471217],
+    [1.0000000000000029, 0.8461992978645396, 0.8433309484797277,
+     0.7279800254421434, -0.673761715006798, -0.6695840171084084],
+    [1.0000000000000018, 0.8460666484175212, 0.8433860372856812,
+     0.7270413447149003, -0.6729074006703444, -0.6706666767797868]]
+PATH_DRIFT = [
+    [0.0] * 6,
+    [4.440892098500626e-16, 1.065944925948692e-05, 2.5713436858754157e-05,
+     8.053493617377061e-05, 0.00013511681272038167, 2.6098038713229244e-05],
+    [6.661338147750939e-16, 0.0001433088962778939, 8.080224281226123e-05,
+     0.0010192156634167837, 0.000989431149174047, 0.0010565616326650984]]
+PATH_GAP = [0.1537900426862009, 0.15380070213546038, 0.15393335158247878]
+PATH_SIN = [0.0, 0.01698364068370972, 0.029512934971605502]
+
+
+def test_track_path_pinned_one_spectrum_per_gamma(monkeypatch):
+    cfg = load_config(fixture_path("four_disk"))
+
+    def family(g):
+        d = cfg.to_dict()
+        d["scatterers"][0]["center"][0] += g
+        return _capped_map(ScattererConfig.from_dict(d), 50.0)[0]
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(transfer_spectrum, "spectrum", counted)
+    gammas = [0.0, 3e-4, 1e-3]
+    recs = track_path(family, gammas, N=32, S=100, seed=0)
+    assert len(calls) == len(gammas)
+    assert [rec["gamma"] for rec in recs] == gammas
+    for i, rec in enumerate(recs):
+        assert rec["eigenvalues"].tolist() == PATH_EIGENVALUES[i]
+        assert rec["drift"].tolist() == PATH_DRIFT[i]
+        assert rec["gap"] == PATH_GAP[i]
+        assert rec["leading_cluster_rank"] == 1
+        assert abs(rec["principal_angle_sin"] - PATH_SIN[i]) <= 1e-12
 
 
 def test_operator_distance_zero_and_positive():
