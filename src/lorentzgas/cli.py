@@ -232,10 +232,8 @@ def cmd_forced(args, runner):
         used += 1
         y = res.next
         tr = res.transcript
-        if tr is not None and not tr.straight:
-            e0 = TF.force.energy(tr.q0, tr.p0)
-            e1 = TF.force.energy(tr.q1, tr.p1)
-            drift = max(drift, abs(e1 - e0))
+        drift = max(drift, abs(TF.force.energy(tr.q1, tr.p1)
+                               - TF.force.energy(tr.q0, tr.p0)))
         if y.scatterer == y0.scatterer:
             L = cfg[y.scatterer].L
             dr = abs(y.r - y0.r)
@@ -339,10 +337,9 @@ def cmd_spectrum(args, runner):
 def cmd_correlate(args, runner):
     cfg = load_config(args.config)
     T, _ = _capped_map(cfg, args.flight_cap)
-    Ls = np.array([s.L for s in cfg.scatterers])
 
     def obs(idx, r, phi):
-        return np.cos(2.0 * math.pi * r / Ls[idx])
+        return np.cos(2.0 * math.pi * r / cfg.lengths[idx])
 
     out = correlations(T, obs, obs, n_max=args.n,
                        n_points=args.points, seed=args.seed)
@@ -358,10 +355,9 @@ def cmd_correlate(args, runner):
 def cmd_stats(args, runner):
     cfg = load_config(args.config)
     T, _ = _capped_map(cfg, args.flight_cap)
-    Ls = np.array([s.L for s in cfg.scatterers])
 
     def obs(idx, r, phi):
-        return np.cos(2.0 * math.pi * r / Ls[idx])
+        return np.cos(2.0 * math.pi * r / cfg.lengths[idx])
 
     out = limit_stats(T, obs, n_points=args.points, seed=args.seed)
     runner.write_json("stats.json", {
@@ -444,9 +440,21 @@ def build_parser():
     return p
 
 
+def _check_sizes(args):
+    """Reject size arguments the computations cannot run on."""
+    for name in ("N", "S", "k", "samples", "curves", "grid", "points"):
+        if getattr(args, name, 1) < 1:
+            raise ValidationFailed(name, "must be at least 1")
+    if hasattr(args, "N") and args.N & (args.N - 1):
+        raise ValidationFailed("N", "must be a power of two")
+    if not args.flight_cap > 0:
+        raise ValidationFailed("flight-cap", "must be positive")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         resolved = []
         for name in ("config", "config_a", "config_b"):
             if hasattr(args, name):

@@ -213,7 +213,7 @@ class FlightTranscript:
     """Record of one free flight: endpoints, duration, and hit bookkeeping."""
 
     def __init__(self, q0, p0, q1, p1, t1, scatterer, offset, arc_length,
-                 force, straight=False, variations=None):
+                 variations=None):
         self.q0 = np.asarray(q0, dtype=float)
         self.p0 = np.asarray(p0, dtype=float)
         self.q1 = np.asarray(q1, dtype=float)
@@ -222,68 +222,51 @@ class FlightTranscript:
         self.scatterer = int(scatterer)
         self.offset = np.asarray(offset, dtype=int)
         self.arc_length = float(arc_length)
-        self.force = force
-        self.straight = bool(straight)
         # the launch variations ((dq, dp), (dq, dp)) carried to the hit
         self.variations = variations
 
 
 class _GapOracle:
-    """Fast signed distance from a plane point to the nearest boundary."""
+    """Signed distance from plane points to the nearest boundary.
+
+    One (n, 9 n_sc) gap matrix over the 3x3 block of lattice images of
+    every scatterer, in (scatterer, ox, oy) order: hypot - R on circles,
+    Scatterer.gap on profiles.
+    """
 
     def __init__(self, config):
         self.config = config
-        cen, sidx, off = [], [], []
-        for j, s in enumerate(config):
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    cen.append(np.asarray(s.center) + (ox, oy))
-                    sidx.append(j)
-                    off.append((ox, oy))
-        self.centers = np.array(cen)
-        self.sidx = np.array(sidx)
-        self.offsets = np.array(off)
-        self.rho_max = np.array([config[j].rho_max for j in self.sidx])
-        self.is_circle = np.array([config[j].is_circle for j in self.sidx])
+        self.sidx = np.repeat(np.arange(len(config)), 9)
+        self.offsets = np.array([(ox, oy) for _ in config
+                                 for ox in (-1, 0, 1) for oy in (-1, 0, 1)])
+        self.centers = (np.array([config[j].center for j in self.sidx])
+                        + self.offsets)
         self.R = np.array([config[j].R for j in self.sidx])
+        self.profiles = [(j, self.sidx == j) for j, s in enumerate(config)
+                         if not s.is_circle]
+
+    def matrix(self, Q):
+        """Gap of each of the (n, 2) plane points, taken in its base cell,
+        to each image."""
+        qb = Q - np.floor(Q)
+        g = np.hypot(qb[:, None, 0] - self.centers[None, :, 0],
+                     qb[:, None, 1] - self.centers[None, :, 1]) - self.R
+        for j, cols in self.profiles:
+            g[:, cols] = self.config[j].gap(qb[:, None]
+                                            - self.offsets[cols])
+        return g
 
     def batch_min(self, Q):
-        """Vectorized min gap over an (n, 2) array of plane points.
-
-        Exact for circles; polar profiles contribute a conservative lower
-        bound refined pointwise only where it could matter.
-        """
-        Q = np.asarray(Q, dtype=float)
-        qb = Q - np.floor(Q)
-        d = np.hypot(qb[:, None, 0] - self.centers[None, :, 0],
-                     qb[:, None, 1] - self.centers[None, :, 1])
-        lb = d - np.where(self.is_circle, self.R, self.rho_max)
-        g = lb.min(axis=1)
-        if not self.is_circle.all():
-            for i in np.nonzero(g < 0.05)[0]:
-                if not self.is_circle[int(np.argmin(lb[i]))]:
-                    g[i] = self(Q[i])[0]
-        return g
+        """Min gap over an (n, 2) array of plane points."""
+        return self.matrix(np.asarray(Q, dtype=float)).min(axis=1)
 
     def __call__(self, q):
         """Return (gap, scatterer index, lattice offset of the nearest wall)."""
-        cell = np.floor(q)
-        qb = q - cell
-        d = np.hypot(qb[0] - self.centers[:, 0], qb[1] - self.centers[:, 1])
-        circ = self.is_circle
-        best, k = np.inf, -1
-        if circ.any():
-            cg = d[circ] - self.R[circ]
-            i = int(np.argmin(cg))
-            best, k = float(cg[i]), int(np.nonzero(circ)[0][i])
-        # refine non-circle candidates whose lower bound could beat the best
-        for i in np.nonzero(~circ)[0]:
-            if d[i] - self.rho_max[i] > best:
-                continue
-            g = self.config[self.sidx[i]].gap(qb - self.offsets[i])
-            if g < best:
-                best, k = float(g), int(i)
-        return best, int(self.sidx[k]), self.offsets[k] + cell.astype(int)
+        q = np.asarray(q, dtype=float)
+        g = self.matrix(q[None])[0]
+        k = int(np.argmin(g))
+        return (float(g[k]), int(self.sidx[k]),
+                self.offsets[k] + np.floor(q).astype(int))
 
 
 class ForcedMap:
@@ -597,7 +580,7 @@ def integrate_flight(fmap, q0, p0, exclude=None, variations=None):
     var1 = None if variations is None else (
         (y1[5:7], y1[7:9]), (y1[9:11], y1[11:13]))
     return FlightTranscript(q0, p0, q1, p1, t_hit, j, off, float(y1[4]),
-                            force, variations=var1)
+                            variations=var1)
 
 
 def _straight_flight(fmap, q0, p0, exclude=None, variations=None):
@@ -612,8 +595,7 @@ def _straight_flight(fmap, q0, p0, exclude=None, variations=None):
     var1 = None if variations is None else tuple(
         (dq + t1 * dp, dp.copy()) for dq, dp in variations)
     return FlightTranscript(q0, p0, q0 + t_len * v, p0, t1, int(j[0]),
-                            off[0].astype(int), t_len, fmap.force,
-                            straight=True, variations=var1)
+                            off[0].astype(int), t_len, variations=var1)
 
 
 # ----------------------------------------------------------------------

@@ -183,13 +183,11 @@ class Scatterer:
     def c3_norm(self):
         """max over samples of |u| + |u'| + |u''| + |u'''| (finite-diff u''')."""
         r = np.linspace(0.0, self.L, 2048, endpoint=False)
-        u = self.point_theta(self.theta_of_r(r))
-        _, t, n, K = self.frame(r)
-        upp = -K[:, None] * n  # Frenet: u'' points inward with magnitude K
         h = self.L * 1e-5
-        upp_p = self.frame(r + h)[3][:, None] * -self.frame(r + h)[2]
-        upp_m = self.frame(r - h)[3][:, None] * -self.frame(r - h)[2]
-        uppp = (upp_p - upp_m) / (2.0 * h)
+        (u, _, n, K), (_, _, n_p, K_p), (_, _, n_m, K_m) = (
+            self.frame(s) for s in (r, r + h, r - h))
+        upp = -K[:, None] * n  # Frenet: u'' points inward with magnitude K
+        uppp = (K_p[:, None] * -n_p - K_m[:, None] * -n_m) / (2.0 * h)
         total = (np.linalg.norm(u, axis=1) + 1.0
                  + np.linalg.norm(upp, axis=1) + np.linalg.norm(uppp, axis=1))
         return float(np.max(total))

@@ -96,8 +96,7 @@ def adapted_norm(x, v, config):
 def _sample_points(config, n, seed, margin=1e-3):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(config), n)
-    Ls = np.array([s.L for s in config.scatterers])
-    r = rng.uniform(0.0, 1.0, n) * Ls[idx]
+    r = rng.uniform(0.0, 1.0, n) * config.lengths[idx]
     phi = rng.uniform(-math.pi / 2 + margin, math.pi / 2 - margin, n)
     return idx, r, phi
 

@@ -57,56 +57,58 @@ def _check_same_space(c1, c2):
                                      f"{a.L} vs {b.L}")
 
 
-def singular_set_samples(map_def, n_r=400, graze=1e-6, forward=False):
+_GRAZE = 1e-6         # launch offset from grazing of the singular curves
+_RESOLVED = 5e-3      # phase gap below which a singular curve is resolved
+_ROUNDS = 10          # bisection rounds of the singular curves
+_CURVE_CAP = 60000    # a curve holding more points is refined no further
+_N_DIRS = 64          # stable directions compared by map_distance
+_SING_SAMPLES = 400   # launches per singular curve in map_distance
+_DISP_SING_SAMPLES = 200  # launches per singular curve in forced_displacement
+
+
+def singular_set_samples(map_def, n_r=400, forward=False):
     """Sample the one-step singular set in phase coordinates.
 
     Returns per-scatterer arrays of (r, phi) points lying (to within the
     grazing offset) on the image (default) or preimage (forward=True) of
     the grazing boundary; the boundary itself is handled separately via
-    the angle coordinate.
+    the angle coordinate.  Every curve, one per (scatterer, grazing sign),
+    is launched from n_r points and bisected in lockstep with the others,
+    one batch push per round.
     """
     cfg = map_def.config
     push = map_def.backward_batch if forward else map_def.forward_batch
     # the preimage set lists the angle flips of the image set's points in
     # the image set's order
     signs = (-1.0, 1.0) if forward else (1.0, -1.0)
-    pts = [[] for _ in cfg.scatterers]
-    for j, sc in enumerate(cfg.scatterers):
-        for sgn in signs:
-            phi0 = sgn * (math.pi / 2 - graze)
-            rr = np.linspace(0.0, sc.L, n_r, endpoint=False)
-            jj, r1, p1, _, ok = push(np.full(rr.size, j), rr,
-                                     np.full(rr.size, phi0))
-            # bisect gaps between adjacent image points until the curve
-            # is resolved to the refinement tolerance
-            for _round in range(10):
-                if rr.size > 60000:
-                    break
-                L1 = cfg.lengths[jj]
-                dr = np.abs(np.diff(r1))
-                dr = np.minimum(dr, L1[:-1] - dr)
-                gap = np.hypot(dr, np.diff(p1))
-                need = ok[:-1] & ok[1:] & (
-                    (jj[:-1] != jj[1:]) | (gap > 5e-3))
-                need &= np.diff(rr) > sc.L * 1e-7
-                if not np.any(need):
-                    break
-                mids = 0.5 * (rr[:-1][need] + rr[1:][need])
-                jm, rm, pm_, _, om = push(np.full(mids.size, j), mids,
-                                         np.full(mids.size, phi0))
-                rr = np.concatenate([rr, mids])
-                order = np.argsort(rr)
-                rr = rr[order]
-                jj = np.concatenate([jj, jm])[order]
-                r1 = np.concatenate([r1, rm])[order]
-                p1 = np.concatenate([p1, pm_])[order]
-                ok = np.concatenate([ok, om])[order]
-            for k in np.nonzero(ok)[0]:
-                pts[int(jj[k])].append((float(r1[k]), float(p1[k])))
-    out = []
-    for j, lst in enumerate(pts):
-        out.append(np.array(lst, dtype=float).reshape(-1, 2))
-    return out
+    src = np.repeat(np.arange(len(cfg)), 2)
+    phi0 = np.tile(signs, len(cfg)) * (math.pi / 2 - _GRAZE)
+    floor = cfg.lengths[src] * 1e-7
+    cid = np.repeat(np.arange(src.size), n_r)
+    rr = np.concatenate([np.linspace(0.0, cfg[j].L, n_r, endpoint=False)
+                         for j in src])
+    jj, r1, p1, _, ok = push(src[cid], rr, phi0[cid])
+    # bisect gaps between adjacent image points of one curve until the
+    # curve is resolved to the refinement tolerance
+    for _round in range(_ROUNDS):
+        c = cid[:-1]
+        need = ((np.bincount(cid) <= _CURVE_CAP)[c] & (c == cid[1:])
+                & ok[:-1] & ok[1:] & (np.diff(rr) > floor[c])
+                & (_phase_gap(cfg, jj[:-1], r1[:-1], p1[:-1],
+                              jj[1:], r1[1:], p1[1:]) > _RESOLVED))
+        if not np.any(need):
+            break
+        cm = c[need]
+        mids = 0.5 * (rr[:-1][need] + rr[1:][need])
+        img = push(src[cm], mids, phi0[cm])
+        order = np.lexsort((np.concatenate([rr, mids]),
+                            np.concatenate([cid, cm])))
+        cid, rr, jj, r1, p1, ok = (
+            np.concatenate([a, b])[order] for a, b in
+            ((cid, cm), (rr, mids), (jj, img[0]), (r1, img[1]),
+             (p1, img[2]), (ok, img[4])))
+    return [np.column_stack([r1[sel], p1[sel]])
+            for sel in (ok & (jj == j) for j in range(len(cfg)))]
 
 
 class _SingularDistance:
@@ -135,13 +137,12 @@ class _SingularDistance:
 
 
 def _phase_gap(cfg, j1, r1, p1, j2, r2, p2):
-    """Distance between two phase points; infinite across scatterers."""
-    Ls = np.array([s.L for s in cfg.scatterers])
-    L = Ls[np.asarray(j1, dtype=int) % len(Ls)]
+    """Distance between two arrays of phase points on the cylinders
+    (r mod L, phi); infinite across scatterers."""
+    L = cfg.lengths[j1]
     dr = np.abs(r1 - r2)
-    dr = np.minimum(dr, L - dr)
-    out = np.hypot(dr, p1 - p2)
-    out[np.asarray(j1) != np.asarray(j2)] = np.inf
+    out = np.hypot(np.minimum(dr, L - dr), p1 - p2)
+    out[j1 != j2] = np.inf
     return out
 
 
@@ -181,8 +182,7 @@ def stable_cone_directions(metrics, n_dirs=64):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def map_distance(T1, T2, grid=256, eps_grid=None, n_dirs=64,
-                 sing_samples=400):
+def map_distance(T1, T2, grid=256):
     """Least epsilon on a geometric grid for which the two maps agree.
 
     Agreement at level eps means that at every grid point farther than
@@ -193,14 +193,13 @@ def map_distance(T1, T2, grid=256, eps_grid=None, n_dirs=64,
     """
     _check_same_space(T1.config, T2.config)
     cfg = T1.config
-    eps_grid = list(eps_grid) if eps_grid is not None else default_eps_grid()
-    eps_grid = sorted(eps_grid)
+    eps_grid = default_eps_grid()
 
     idx, rr, pp = _phase_grid(cfg, grid)
 
-    sd1 = _SingularDistance(cfg, singular_set_samples(T1, n_r=sing_samples))
+    sd1 = _SingularDistance(cfg, singular_set_samples(T1, n_r=_SING_SAMPLES))
     sd2 = _SingularDistance(T2.config,
-                            singular_set_samples(T2, n_r=sing_samples))
+                            singular_set_samples(T2, n_r=_SING_SAMPLES))
     sing = np.minimum(sd1(idx, rr, pp), sd2(idx, rr, pp))
 
     j1, r1, p1, A1, jmu1, ok1 = _inverse_data(T1, idx, rr, pp)
@@ -223,7 +222,7 @@ def map_distance(T1, T2, grid=256, eps_grid=None, n_dirs=64,
     c2[good] = np.maximum(np.abs(ratio[good] - 1.0),
                           np.abs(1.0 / ratio[good] - 1.0))
 
-    vs = stable_cone_directions(config_metrics(cfg), n_dirs)
+    vs = stable_cone_directions(config_metrics(cfg), _N_DIRS)
     c3 = np.full(idx.size, np.inf)
     c4 = np.full(idx.size, np.inf)
     if np.any(valid):
@@ -243,45 +242,30 @@ def map_distance(T1, T2, grid=256, eps_grid=None, n_dirs=64,
         c3[valid] = best3
         c4[valid] = best4
 
-    report = None
+    worst = (c1, c2, c3, c4)
+    eps_star, keep = math.inf, sing > eps_grid[-1]
     for eps in eps_grid:
-        keep = sing > eps
-        if not np.any(keep):
-            if not np.any(valid):
-                continue
-            # the eps-neighbourhood covers the whole grid: the conditions
-            # hold vacuously outside it
-            report = DistanceReport(
-                epsilon_star=float(eps), c1_worst=0.0, c2_worst=0.0,
-                c3_worst=0.0, c4_worst=0.0, mask_area=1.0, grid=grid,
-                n_points=int(idx.size), n_dirs=n_dirs, eps_grid=eps_grid)
+        k = sing > eps
+        if np.any(k):
+            passed = all(np.max(c[k]) <= b for c, b in
+                         zip(worst, (eps, eps, eps, math.sqrt(eps))))
+        else:
+            # an eps-neighbourhood that covers the whole grid leaves the
+            # conditions to hold vacuously outside it
+            passed = np.any(valid)
+        if passed:
+            eps_star, keep = float(eps), k
             break
-        w1m = float(np.max(c1[keep]))
-        w2m = float(np.max(c2[keep]))
-        w3m = float(np.max(c3[keep]))
-        w4m = float(np.max(c4[keep]))
-        if (w1m <= eps and w2m <= eps and w3m <= eps
-                and w4m <= math.sqrt(eps)):
-            report = DistanceReport(
-                epsilon_star=float(eps), c1_worst=w1m, c2_worst=w2m,
-                c3_worst=w3m, c4_worst=w4m,
-                mask_area=float(1.0 - keep.mean()), grid=grid,
-                n_points=int(idx.size), n_dirs=n_dirs, eps_grid=eps_grid)
-            break
-    if report is None:
-        keep = sing > eps_grid[-1]
-        report = DistanceReport(
-            epsilon_star=math.inf,
-            c1_worst=float(np.max(c1[keep])) if np.any(keep) else math.nan,
-            c2_worst=float(np.max(c2[keep])) if np.any(keep) else math.nan,
-            c3_worst=float(np.max(c3[keep])) if np.any(keep) else math.nan,
-            c4_worst=float(np.max(c4[keep])) if np.any(keep) else math.nan,
-            mask_area=float(1.0 - keep.mean()), grid=grid,
-            n_points=int(idx.size), n_dirs=n_dirs, eps_grid=eps_grid)
-    return report
+    # no point kept: 0.0 when the whole grid is masked, NaN when none is valid
+    fill = 0.0 if np.any(valid) else math.nan
+    return DistanceReport(
+        eps_star, *(float(np.max(c[keep])) if np.any(keep) else fill
+                    for c in worst),
+        mask_area=float(1.0 - keep.mean()), grid=grid,
+        n_points=int(idx.size), n_dirs=_N_DIRS, eps_grid=eps_grid)
 
 
-def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
+def forced_displacement(T_forced, T0, eps, grid=48):
     """Sup forward-map displacement away from a sqrt(eps) singular band.
 
     Measures sup_x d(T_forced(x), T0(x)) over a grid excluding points
@@ -291,7 +275,7 @@ def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
     idx, rr, pp = _phase_grid(cfg, grid)
 
     sd0 = _SingularDistance(cfg, singular_set_samples(
-        T0, n_r=sing_samples, forward=True))
+        T0, n_r=_DISP_SING_SAMPLES, forward=True))
     sing = sd0(idx, rr, pp)
     band = math.sqrt(eps)
     keep = sing > band
@@ -302,9 +286,7 @@ def forced_displacement(T_forced, T0, eps, grid=48, sing_samples=200):
     j0, r0, p0 = jj0[sel], r0[sel], p0[sel]
     use = ok1 & (j1 == j0) & (np.minimum(math.pi / 2 - np.abs(p1),
                                          math.pi / 2 - np.abs(p0)) > band)
-    L = cfg.lengths[j1[use]]
-    dr = np.abs(r1[use] - r0[use])
-    d = np.hypot(np.minimum(dr, L - dr), p1[use] - p0[use])
+    d = _phase_gap(cfg, j1[use], r1[use], p1[use], j0[use], r0[use], p0[use])
     return (float(d.max()) if d.size else 0.0), int(use.sum())
 
 

@@ -37,7 +37,7 @@ class _Partition:
     def __init__(self, config, N):
         self.config = config
         self.N = N
-        self.Ls = np.array([s.L for s in config.scatterers])
+        self.Ls = config.lengths
         self.n_sc = len(config.scatterers)
         self.per = N * N
         self.size = self.n_sc * self.per
@@ -323,7 +323,7 @@ def operator_distance(op1, op2):
 
 def sample_invariant(config, n, rng):
     """Draw n phase points from the invariant measure."""
-    Ls = np.array([s.L for s in config.scatterers])
+    Ls = config.lengths
     probs = Ls / Ls.sum()
     idx = rng.choice(len(Ls), size=n, p=probs)
     r = rng.random(n) * Ls[idx]

@@ -150,3 +150,24 @@ def test_spectrum_path_rejects_shift_scatterer_out_of_range(tmp_path, index):
     assert run(["--out-dir", tmp_path, "spectrum", "four_disk", "--N", 8,
                 "--S", 4, "--path", 0, 1e-3,
                 "--shift-scatterer", index]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "four_disk", "--N", 48],
+    ["spectrum", "four_disk", "--N", 8, "--S", 2, "--k", 0],
+    ["spectrum", "four_disk", "--N", 8, "--S", 0],
+    ["curves", "four_disk", "--curves", 0],
+    ["stats", "four_disk", "--points", 0],
+    ["verify", "four_disk", "--samples", 0],
+    ["map", "four_disk", "--samples", 0],
+    ["distance", "four_disk", "four_disk", "--grid", 0],
+    ["--flight-cap", 0, "map", "four_disk"],
+], ids=["N-not-power-of-two", "k-zero", "S-zero", "curves-zero",
+        "points-zero", "verify-samples-zero", "map-samples-zero",
+        "grid-zero", "flight-cap-zero"])
+def test_size_arguments_out_of_range_exit_2(tmp_path, capsys, argv):
+    """A size argument the computation cannot run on is a validation
+    failure: exit 2 with a message, no traceback and no output."""
+    assert run(["--out-dir", tmp_path] + argv) == 2
+    assert "validation failed" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

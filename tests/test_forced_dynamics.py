@@ -382,7 +382,7 @@ def _solve_ivp_flight(fmap, q0, p0, exclude=None, variations=None):
         var1 = ((yv[4:6], yv[6:8]), (yv[8:10], yv[10:12]))
     _, j, off = gap(y1[0:2])
     return FlightTranscript(q0, p0, y1[0:2], y1[2:4], t_hit, j, off,
-                            float(y1[4]), force, variations=var1)
+                            float(y1[4]), variations=var1)
 
 
 def _round(TF, x):
@@ -437,3 +437,70 @@ def test_failed_integration_is_no_convergence(monkeypatch):
     TF = ForcedMap(four_disk(), standard_force(1e-3))
     with pytest.raises(NoConvergence):
         TF.forward(PhasePoint(0, 0.3, 0.4))
+
+
+# ----------------------------------------------------------------------
+# the wall-gap matrix on a profile scatterer
+
+def profile_forced_map():
+    """The forced_four_disk force and kick on four_disk with cos_coeffs
+    [0, 0.02] on scatterer 0."""
+    TF, _ = load_forced(fixture_path("forced_four_disk"), 50.0)
+    d = TF.config.to_dict()
+    d["scatterers"][0]["cos_coeffs"] = [0.0, 0.02]
+    return ForcedMap(ScattererConfig.from_dict(d), TF.force, TF.kick)
+
+
+def test_gap_oracle_is_the_brute_force_minimum_near_profile_walls():
+    """Points within 0.05 of every wall, in random lattice cells: the
+    batch minimum is the one-point gap, and the one-point gap names the
+    wall of least Scatterer.gap over a 5 x 5 block of images."""
+    cfg = profile_forced_map().config
+    gap = forced_dynamics._GapOracle(cfg)
+    rng = np.random.default_rng(4)
+    Q = []
+    for sc in cfg:
+        r = rng.random(200) * sc.L
+        p, _, n, _ = sc.frame(r)
+        Q.append(p + rng.uniform(0.0, 0.05, (200, 1)) * n
+                 + rng.integers(-3, 4, (200, 2)))
+    Q = np.concatenate(Q)
+    assert np.array_equal(gap.batch_min(Q), [gap(q)[0] for q in Q])
+    block = [(ox, oy) for ox in range(-2, 3) for oy in range(-2, 3)]
+    for q in Q:
+        cell = np.floor(q).astype(int)
+        _, j, off = min((float(sc.gap(q - cell - o)), j, tuple(cell + o))
+                        for j, sc in enumerate(cfg) for o in block)
+        _, j1, off1 = gap(q)
+        assert (j1, tuple(off1)) == (j, off)
+
+
+@pytest.mark.parametrize("i, fwd, jac, back", [
+    (0, (0, 0.5034373395294715, -0.7878478836473448, 0.22561771894867033),
+     [[-2.3294609440949996, -0.3188501871553901],
+      [-10.64167965810625, -2.0011239431175163]],
+     (2, 0.5221225323237026, -0.09868998827559905, 0.06789043144744829)),
+    (1, (0, 0.16172607575004022, 1.081283452556389, 0.13375238479185053),
+     [[-4.001444962097961, -0.28367173455669964],
+      [-20.412879437533686, -1.9754174120524104]],
+     (2, 0.7677775662195069, 0.45055462005399943, 0.42115204362494846)),
+    (2, (3, 0.8992617895702801, 0.8949970049210497, 0.7268138411595104),
+     [[-5.217918494819971, -1.1529022913256384],
+      [-38.015085325339584, -8.702884189533643]],
+     (2, 0.5956346648255749, 0.8955788280797099, 0.10818737563456456)),
+    (3, (1, 0.27545679400441814, -1.2595730332350876, 0.16859475445425567),
+     [[-6.9403419078804385, -0.5515372943623831],
+      [-29.78768837228879, -2.837908216861971]],
+     (1, 0.27721439270229475, 1.253914118745411, 0.1668881702038145)),
+])
+def test_forced_map_on_profile_config_pinned(i, fwd, jac, back):
+    """forward, dt and backward on the first points of a 150-point draw
+    (seed 1), pinned to the values of the pointwise profile gap."""
+    TP = profile_forced_map()
+    idx, r, phi = sample_invariant(TP.config, 150, np.random.default_rng(1))
+    x = PhasePoint(int(idx[i]), float(r[i]), float(phi[i]))
+    res = TP.forward(x)
+    assert (res.next.scatterer, res.next.r, res.next.phi, res.tau) == fwd
+    assert TP.dt(x).m.tolist() == jac
+    res = TP.backward(x)
+    assert (res.next.scatterer, res.next.r, res.next.phi, res.tau) == back
