@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ArclengthMismatch, NoCollision, NonConvex, Overlap,
-                     SelfIntersecting, ValidationFailed)
+from .errors import (ArclengthMismatch, NonConvex, Overlap, SelfIntersecting,
+                     ValidationFailed)
 
 _N_TABLE = 4096
 
@@ -207,12 +207,17 @@ class ScattererConfig:
         self.torus_side = 1.0
         self._check_disjoint()
         self.lengths = np.array([s.L for s in self.scatterers])
-        self._metrics = {}  # config_metrics memo
+        self._metrics = None  # config_metrics memo
         self._hit_tables = {}  # batch collision search memo
 
     def _check_disjoint(self):
         scs = self.scatterers
-        offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        # an image of j that meets i lies within rho_max_i + rho_max_j of
+        # it, so its offset is at most the centres' spread plus that sum
+        m = int(np.ceil(np.ptp([s.center for s in scs], axis=0).max()
+                        + 2.0 * max(s.rho_max for s in scs)))
+        offsets = [(dx, dy) for dx in range(-m, m + 1)
+                   for dy in range(-m, m + 1)]
         for i in range(len(scs)):
             for j in range(i, len(scs)):
                 for off in offsets:
@@ -311,57 +316,69 @@ def _launches(config, n_samples, seed):
     return idx, r, phi
 
 
-def config_metrics(config, flight_cap=50.0, n_samples=4000, seed=0):
+_FLIGHT_CAP = 50.0     # flight cap of the metric flights
+_N_SAMPLES = 4000      # random launches of the tau_max sweep
+_SEED = 0              # seed of those launches
+_N_NORMAL = 256        # normal launches per scatterer on the first grid
+_BRACKET = 1e-10       # width at which a bracket of tau_min stops shrinking
+
+
+def _shortest_normal_flight(T):
+    """tau_min: the least flight of a launch along the boundary normal.
+
+    The shortest segment between two distinct scatterer images is normal
+    to both at its ends and is a free flight, and every normal flight is
+    at least as long, so tau_min is the least normal flight.  Each cyclic
+    local minimum of a scatterer's grid of normal flights brackets one
+    local minimum two grid cells wide; all brackets zoom in lockstep, one
+    forward_batch a round, halving about the least of their centre and
+    its two midpoints until they are narrower than _BRACKET.
+    """
+    L = T.config.lengths
+    idx = np.repeat(np.arange(len(L)), _N_NORMAL)
+    cell = L / _N_NORMAL
+    r = (cell[:, None] * np.arange(_N_NORMAL)).ravel()
+    grid = T.forward_batch(idx, r, np.zeros_like(r))[3].reshape(len(L), -1)
+    j, k = np.nonzero(np.isfinite(grid) & (grid <= np.roll(grid, 1, axis=1))
+                      & (grid <= np.roll(grid, -1, axis=1)))
+    x, f, w = k * cell[j], grid[j, k], cell[j]
+    while 2.0 * w.max() >= _BRACKET:
+        w = 0.5 * w
+        tau = T.forward_batch(np.tile(j, 2), np.concatenate([x - w, x + w]),
+                              np.zeros(2 * len(x)))[3].reshape(2, -1)
+        x0 = x
+        for side, t in zip((-1.0, 1.0), tau):
+            better = t < f
+            x = np.where(better, x0 + side * w, x)
+            f = np.where(better, t, f)
+    return float(f.min())
+
+
+def config_metrics(config):
     """Measure tau_min/tau_max, curvature bounds, C3 norm, and horizon.
 
-    Flight times come from one batch sweep over n_samples random launches;
-    the Nelder-Mead refinements of the five shortest flights take the
-    one-point free_flight.  The result is memoised on the config instance
-    per (flight_cap, n_samples, seed), so a ScattererConfig must not be
-    mutated after construction.
+    tau_min is the least normal flight (_shortest_normal_flight); tau_max
+    the longest flight of one batch sweep over _N_SAMPLES random launches,
+    inf where a launch or a lattice corridor flies past the cap.  The
+    result is memoised on the config instance, so a ScattererConfig must
+    not be mutated after construction.
     """
-    key = (flight_cap, n_samples, seed)
-    if key in config._metrics:
-        return config._metrics[key]
-    from scipy.optimize import minimize
-    from .classical_map import ClassicalMap, PhasePoint, free_flight
-    idx, r, phi = _launches(config, n_samples, seed)
-
-    def tau_of(z, i):
-        try:
-            return free_flight(config, PhasePoint(i, z[0], z[1]),
-                               flight_cap=flight_cap).tau
-        except NoCollision:
-            return flight_cap
-
-    _, _, _, taus, ok = ClassicalMap(config, flight_cap).forward_batch(
-        idx, r, phi)
-    infinite = not ok.all()
-    flown = np.flatnonzero(ok)
-
-    # local descent refinement of the minimum from the five shortest flights
-    seeds = flown[np.argsort(taus[flown])[:5]]
-    tau_min = float(taus[seeds].min())
-    for k in seeds:
-        res = minimize(tau_of, x0=[r[k], phi[k]], args=(int(idx[k]),),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 300})
-        tau_min = min(tau_min, float(res.fun))
-
-    if not infinite:
-        infinite = _corridor_free(config, flight_cap)
-    tau_max = float("inf") if infinite else float(taus[flown].max())
-    met = ConfigMetrics(
-        tau_min=tau_min,
-        tau_max=tau_max,
+    if config._metrics is not None:
+        return config._metrics
+    from .classical_map import ClassicalMap
+    T = ClassicalMap(config, _FLIGHT_CAP)
+    _, _, _, taus, ok = T.forward_batch(*_launches(config, _N_SAMPLES, _SEED))
+    infinite = not ok.all() or _corridor_free(config, _FLIGHT_CAP)
+    config._metrics = ConfigMetrics(
+        tau_min=_shortest_normal_flight(T),
+        tau_max=float("inf") if infinite else float(taus.max()),
         K_min=min(s.K_min for s in config.scatterers),
         K_max=max(s.K_max for s in config.scatterers),
         E_max=max(s.c3_norm() for s in config.scatterers),
         horizon="infinite" if infinite else "finite",
-        flight_cap=flight_cap,
+        flight_cap=_FLIGHT_CAP,
     )
-    config._metrics[key] = met
-    return met
+    return config._metrics
 
 
 def deformation_distance(Q, Q0, n_grid=2048):

@@ -261,10 +261,10 @@ def one_step_expansion_sum(map_def, W, params=None, sigma=5.0 / 6.0):
         V = nd.curve
         rr = V.r
         sl = V.slope_at(rr)
-        Kx = np.asarray([cfg[V.scatterer].curvature_r(float(x)) for x in rr])
+        Kx = cfg[V.scatterer].curvature_r(rr)
         par = nd.parent_r
         slw = W.slope_at(par)
-        Kw = np.asarray([cfg[W.scatterer].curvature_r(float(x)) for x in par])
+        Kw = cfg[W.scatterer].curvature_r(par)
         fac_w = (Kw + np.abs(slw)) / np.sqrt(1.0 + slw ** 2)
         fac_v = (Kx + np.abs(sl)) / np.sqrt(1.0 + sl ** 2)
         jstar = nd.cum_jac * fac_w / fac_v

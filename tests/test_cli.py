@@ -71,6 +71,15 @@ def test_invalid_config_exits_2(tmp_path):
     assert run(["--out-dir", tmp_path, "geom", bad]) == 2
 
 
+def test_overlap_through_a_far_lattice_image_exits_2(tmp_path):
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps({"scatterers": [
+        {"R": 0.1, "center": [0.9, 0.5]},
+        {"R": 0.1, "center": [-0.95, 0.5]}]}))
+    assert run(["--out-dir", tmp_path, "geom", bad]) == 2
+    assert not (tmp_path / "geom.json").exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run(["--out-dir", tmp_path, "geom", "no_such_fixture"]) == 2
 

@@ -167,9 +167,9 @@ def test_growth_sums_structure(setup):
     assert [(s["count"], s["sum_a"], s["sum_b"], s["sum_c"], s["sum_d"])
             for s in sums] == [
         (1, 1.0, 1.0, 1.0, 1.0),
-        (2, 0.0, 0.6588102124037032, 0.9373342649657872, 0.7927524993256745),
-        (4, 0.0, 0.5367443705702504, 0.9022824673008596, 0.7501523056591262),
-        (26, 0.0, 0.39411645903512377, 0.90530774960679, 0.7745170744350587)]
+        (2, 0.0, 0.6588102124034609, 0.9373342649654417, 0.7927524993254318),
+        (4, 0.0, 0.5367443705704158, 0.9022824673011347, 0.7501523056593187),
+        (26, 0.0, 0.3941164590351772, 0.9053077496244498, 0.7745170744351663)]
 
 
 def test_norm_estimates_finite(setup):

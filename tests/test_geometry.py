@@ -135,6 +135,14 @@ def test_overlap_across_lattice_translate():
             {"R": 0.45, "center": [0.5, 0.5]}]})
 
 
+def test_overlap_through_a_far_lattice_image():
+    """The discs overlap by 0.05 through offset 2, outside the 3x3 block."""
+    with pytest.raises(Overlap, match=r"offset \(2, 0\)"):
+        ScattererConfig.from_dict({"scatterers": [
+            {"R": 0.1, "center": [0.9, 0.5]},
+            {"R": 0.1, "center": [-0.95, 0.5]}]})
+
+
 def test_from_file_missing_field(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"scatterers": [{"center": [0, 0]}]}))
@@ -196,23 +204,55 @@ def test_infinite_horizon_detected():
 
 
 # reference values of the map's own flights
-@pytest.mark.parametrize("make, kwargs, expected", [
-    (fixture_four_disk, {}, dict(
-        tau_min=0.04999999999999988, tau_max=0.9833485130628967,
+@pytest.mark.parametrize("make, expected", [
+    (fixture_four_disk, dict(
+        tau_min=0.049999999999999406, tau_max=0.9833485130628967,
         K_min=3.333333333333333, K_max=6.666666666666666,
         E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
-    (two_disk, {}, dict(
+    (two_disk, dict(
         tau_min=0.007106781186547451, tau_max=float("inf"),
         K_min=2.8571428571428577, K_max=2.8571428571428577,
         E_max=13.077514939085585, horizon="infinite", flight_cap=50.0)),
-    (lambda: fixture_four_disk(cos_coeffs=[0.0, 0.02]), {"n_samples": 300},
-     dict(tau_min=0.04400000000000001, tau_max=0.6198357370995722,
+    (lambda: fixture_four_disk(cos_coeffs=[0.0, 0.02]),
+     dict(tau_min=0.04400000000000001, tau_max=0.9868628216649079,
           K_min=3.1236984589754266, K_max=6.666666666666666,
           E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
 ], ids=["four_disk", "two_disk", "profile"])
-def test_config_metrics_pinned(make, kwargs, expected):
-    met = config_metrics(make(), **kwargs)
+def test_config_metrics_pinned(make, expected):
+    met = config_metrics(make())
     assert {k: getattr(met, k) for k in expected} == expected
+
+
+def _image_distance(cfg):
+    """min |C_i - C_j - n| - R_i - R_j over distinct images of circles."""
+    cells = np.arange(-2, 3)
+    best = np.inf
+    for i, a in enumerate(cfg.scatterers):
+        for j, b in enumerate(cfg.scatterers):
+            for nx in cells:
+                for ny in cells:
+                    if i != j or nx or ny:
+                        d = np.hypot(*(a.center - b.center - [nx, ny]))
+                        best = min(best, d - a.R - b.R)
+    return best
+
+
+def test_tau_min_is_the_least_image_distance():
+    """tau_min is the closed-form image distance on circles, and the
+    earlier search's value on the profile configs."""
+    for make in (fixture_four_disk, two_disk):
+        cfg = make()
+        assert config_metrics(cfg).tau_min == pytest.approx(
+            _image_distance(cfg), rel=0, abs=1e-14)
+    profile = fixture_four_disk(cos_coeffs=[0.0, 0.02])
+    assert config_metrics(profile).tau_min == 0.04400000000000001
+    with open(fixture_path("four_disk")) as fh:
+        d = json.load(fh)
+    d["scatterers"][0].update(kind="profile", cos_coeffs=[0.0, 0.02, 0.005],
+                              sin_coeffs=[0.01], rotation=0.3)
+    rotated = ScattererConfig.from_dict(d)
+    assert config_metrics(rotated).tau_min == pytest.approx(
+        0.04489522928516337, rel=1e-13, abs=0)
 
 
 def test_config_metrics_memoised_per_instance(monkeypatch):

@@ -1,8 +1,9 @@
 """Every consumer of a map steps arrays through forward_batch, backward_batch
 or step_batch; the scalar methods forward, step, backward and dt are for
-the maps themselves.  The one consumer still on the scalar map is the
-forced report of `lorentzgas forced`, whose energy-drift figure reads the
-scalar flight's transcript."""
+the maps themselves, and the one-point free_flight is for the classical
+map alone.  The one consumer still on the scalar map is the forced report
+of `lorentzgas forced`, whose energy-drift figure reads the scalar
+flight's transcript."""
 
 import ast
 import os
@@ -41,3 +42,23 @@ def test_no_scalar_map_calls_outside_the_maps():
     assert not stray, stray
     # the allowance names a place that still needs it
     assert {(c[0], c[1]) for c in calls} == ALLOWED
+
+
+def _free_flight_calls(tree, path):
+    """(file, line) of each call of a function named free_flight."""
+    return [(path, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "free_flight"]
+
+
+def test_no_free_flight_calls_outside_the_classical_map():
+    calls = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "classical_map.py":
+            with open(os.path.join(SRC, name)) as fh:
+                calls += _free_flight_calls(ast.parse(fh.read()), name)
+    assert not calls, calls
+    # the recogniser sees both spellings of the call
+    probe = ast.parse("free_flight(c, x)\nclassical_map.free_flight(c, x)")
+    assert len(_free_flight_calls(probe, "probe")) == 2
