@@ -220,130 +220,106 @@ class GenerationTree:
         return self.levels[level]
 
 
-class _PullSampler:
-    """Backward samples along a curve with one-step stable Jacobians."""
-
-    def __init__(self, map_def, curve, k0):
-        self.map_def = map_def
-        self.curve = curve
-        self.k0 = k0
-
-    def batch(self, rs):
-        """(preimage point, one-step Jacobian of T along the preimage,
-        branch key (scatterer, strip) of the preimage), or None where the
-        inverse step fails or either end is within the grazing tolerance,
-        for each curve parameter in rs."""
-        rs = np.asarray(rs, dtype=float)
-        xphi = np.asarray(self.curve.phi_at(rs), dtype=float)
-        slope = np.asarray(self.curve.slope_at(rs), dtype=float)
-        idx = np.full(rs.size, self.curve.scatterer, dtype=int)
-        jj, yr, yphi, _, A, ok = self.map_def.step_batch(
-            idx, rs, xphi, direction="backward")
-        ok = ok & ~is_grazing(yphi, self.map_def.grazing_tol)
-        u1 = A[:, 0, 0] + A[:, 0, 1] * slope
-        u2 = A[:, 1, 0] + A[:, 1, 1] * slope
-        jac = np.hypot(1.0, slope) / np.hypot(u1, u2)
-        strip = homogeneity_index(yphi, self.k0)
-        return [(PhasePoint(int(jj[i]), float(yr[i]), float(yphi[i])),
-                 float(jac[i]), (int(jj[i]), int(strip[i])))
-                if ok[i] else None for i in range(rs.size)]
+# columns of the rows _pull returns
+_S, _OK, _J, _K, _R, _PHI, _JAC = range(7)
+_N_PROBE = 96            # probes along a curve in one pullback step
+_MAX_CUTS = 400          # cuts one curve may have in one pullback step
+_MAX_PIECES = 100_000    # pieces one generation tree may hold
 
 
-def _pull_node(map_def, node, delta0, k0, n_probe=64, budget=400):
+def _pull(map_def, W, rs, k0):
+    """One backward step of the points of W at the curve parameters rs.
+
+    Returns one row per parameter: (parameter, ok, scatterer, strip, r,
+    phi, one-step Jacobian of T along the preimage); ok is 0 where the
+    inverse step fails or either end is within the grazing tolerance.
+    """
+    slope = W.slope_at(rs)
+    jj, yr, yphi, _, A, ok = map_def.step_batch(
+        np.full(rs.size, W.scatterer), rs, W.phi_at(rs), direction="backward")
+    ok = ok & ~is_grazing(yphi, map_def.grazing_tol)
+    u1 = A[:, 0, 0] + A[:, 0, 1] * slope
+    u2 = A[:, 1, 0] + A[:, 1, 1] * slope
+    jac = np.hypot(1.0, slope) / np.hypot(u1, u2)
+    return np.column_stack([rs, ok, jj, homogeneity_index(yphi, k0), yr,
+                            yphi, jac])
+
+
+def _jumped(lengths, a, b):
+    """Where rows a and b lie on different smooth branches: one of them
+    failed, their (scatterer, strip) differ, or r jumps by over L/5."""
+    ok_a, ok_b = a[:, _OK] > 0, b[:, _OK] > 0
+    L = lengths[a[:, _J].astype(int)]
+    dr = np.abs(b[:, _R] - a[:, _R])
+    split = ((a[:, _J] != b[:, _J]) | (a[:, _K] != b[:, _K])
+             | (np.minimum(dr, L - dr) > 0.2 * L))
+    return np.where(ok_a & ok_b, split, ok_a != ok_b)
+
+
+def _pull_node(map_def, node, delta0, k0):
     """One pullback step: homogeneous pieces of T^-1 of a node's curve.
 
     Probes the curve, bisects every branch or strip change between
     consecutive probes to 1e-10, all cuts in lockstep, and densifies short
-    runs; each round of probes is one sampler batch.
+    runs; each round of probes is one _pull.
     """
     W = node.curve
-    a, b = W.interval
-    sampler = _PullSampler(map_def, W, k0)
-    rs = np.linspace(a, b, n_probe)
-    samples = sampler.batch(rs)
-
-    def jumped(sa, sb):
-        if sa is None or sb is None:
-            return (sa is None) != (sb is None)
-        if sa[2] != sb[2]:
-            return True
-        L = map_def.config[sa[0].scatterer].L
-        dr = abs(sb[0].r - sa[0].r)
-        return min(dr, L - dr) > 0.2 * L
-
-    # the cut between probes i - 1 and i; lo keeps the left branch, hi the
-    # right one, and tails collect the left branch's samples in between
-    cuts = [i for i in range(1, n_probe) if samples[i - 1] is not None
-            and samples[i] is not None and jumped(samples[i - 1], samples[i])]
-    if len(cuts) > budget:
+    lengths = map_def.config.lengths
+    probes = _pull(map_def, W, np.linspace(*W.interval, _N_PROBE), k0)
+    ok = probes[:, _OK] > 0
+    cut = 1 + np.flatnonzero(ok[:-1] & ok[1:]
+                             & _jumped(lengths, probes[:-1], probes[1:]))
+    if cut.size > _MAX_CUTS:
         raise RefinementBudgetExceeded("too many cuts on one piece")
-    lo = [rs[i - 1] for i in cuts]
-    slo = [samples[i - 1] for i in cuts]
-    hi = [rs[i] for i in cuts]
-    shi = [samples[i] for i in cuts]
-    hi_at = list(hi)
-    tails = [[] for _ in cuts]
-    live = [c for c in range(len(cuts)) if hi[c] - lo[c] > 1e-10]
-    while live:
-        mids = [0.5 * (lo[c] + hi[c]) for c in live]
-        for c, mid, sm in zip(live, mids, sampler.batch(mids)):
-            if sm is not None and not jumped(slo[c], sm):
-                lo[c], slo[c] = mid, sm
-                tails[c].append((mid, *sm))
-            else:
-                hi[c] = mid
-                if sm is not None and not jumped(sm, shi[c]):
-                    shi[c], hi_at[c] = sm, mid
-        live = [c for c in live if hi[c] - lo[c] > 1e-10]
+    # per cut: lo the left-branch row nearest the cut, hi the right end of
+    # the bracket and right the right-branch row nearest the cut
+    lo, right = probes[cut - 1], probes[cut]
+    hi = right[:, _S].copy()
+    rows = [probes]
+    live = np.flatnonzero(hi - lo[:, _S] > 1e-10)
+    while live.size:
+        mid = _pull(map_def, W, 0.5 * (lo[live, _S] + hi[live]), k0)
+        left = ~_jumped(lengths, lo[live], mid)
+        on_right = ~left & ~_jumped(lengths, mid, right[live])
+        rows.append(mid[left])
+        lo[live[left]] = mid[left]
+        hi[live[~left]] = mid[~left, _S]
+        right[live[on_right]] = mid[on_right]
+        live = live[hi[live] - lo[live, _S] > 1e-10]
+    rows.append(right[right[:, _S] < probes[cut, _S] - 1e-12])
+    rows = np.concatenate(rows)
+    rows = rows[np.argsort(rows[:, _S])]
 
-    runs = []  # lists of (r, preimage, jac1, branch key)
-    cur = []
-    cut_of = {i: c for c, i in enumerate(cuts)}
-    for i, s in enumerate(samples):
-        if s is None:
-            if cur:
-                runs.append(cur)
-                cur = []
-            continue
-        if i in cut_of:
-            c = cut_of[i]
-            runs.append(cur + tails[c])
-            cur = []
-            if hi_at[c] < rs[i] - 1e-12:
-                cur.append((hi_at[c], *shi[c]))
-        cur.append((rs[i], *s))
-    if cur:
-        runs.append(cur)
-
+    # a run ends at each failed probe and after each cut's last left row
+    failed = rows[:, _OK] == 0
+    ends = np.isin(rows[:, _S], lo[:, _S])
+    run_of = np.cumsum(failed) + np.cumsum(ends) - ends
+    rows, run_of = rows[~failed], run_of[~failed]
     children = []
-    for run in runs:
+    for run in np.split(rows, 1 + np.flatnonzero(np.diff(run_of))):
         # densify short runs so every child has enough knots
         while 4 <= len(run) < 12:
-            mids = [0.5 * (ra[0] + rb[0]) for ra, rb in zip(run[:-1], run[1:])]
-            extra = [(mid, *sm) for mid, sm in zip(mids, sampler.batch(mids))
-                     if sm is not None and not jumped(run[0][1:], sm)]
-            if not extra:
+            mid = _pull(map_def, W, 0.5 * (run[:-1, _S] + run[1:, _S]), k0)
+            extra = mid[~_jumped(lengths, run[:1], mid)]
+            if not extra.size:
                 break
-            run = sorted(run + extra, key=lambda t: t[0])
+            run = np.concatenate([run, extra])
+            run = run[np.argsort(run[:, _S])]
         children.extend(_materialize_run(map_def, node, run, delta0, k0))
     return children
 
 
-def _materialize_run(map_def, node, run, delta0, k0):
-    """Build homogeneous child pieces from one smooth sample run."""
-    if len(run) < 4:
-        return []
-    key = run[len(run) // 2][3]
-    run = [p for p in run if p[3] == key]
-    if len(run) < 4:
-        return []
-    par_r = np.array([p[0] for p in run])
-    yr = np.array([p[1].r for p in run])
-    yphi = np.array([p[1].phi for p in run])
-    jac1 = np.array([p[2] for p in run])
+def _piece(map_def, node, rows, key, k0):
+    """The piece (curve, parent_r, cum_jac) through the rows on branch key,
+    or None where fewer than four distinct knots remain."""
+    rows = rows[(rows[:, _OK] > 0) & (rows[:, _J] == key[0])
+                & (rows[:, _K] == key[1])]
+    if len(rows) < 4:
+        return None
+    par_r, yphi, jac1 = rows[:, _S], rows[:, _PHI], rows[:, _JAC]
     # unwrap the child r-coordinate across the scatterer's period
-    L = map_def.config[key[0]].L
-    yr = yr.copy()
+    L = map_def.config.lengths[int(key[0])]
+    yr = rows[:, _R].copy()
     for i in range(1, yr.size):
         d = yr[i] - yr[i - 1]
         if d > L / 2:
@@ -356,51 +332,58 @@ def _materialize_run(map_def, node, run, delta0, k0):
         keep = np.concatenate([[True], np.diff(yr) > 1e-13])
         yr, yphi, par_r, jac1 = yr[keep], yphi[keep], par_r[keep], jac1[keep]
         if yr.size < 4:
-            return []
-
+            return None
     # cumulative Jacobian of T^(level+1) at the child knots
     cum = jac1 * np.interp(par_r, node.curve.r, node.cum_jac)
-
     try:
-        child = StableCurve(key[0], yr, yphi, k0=k0,
+        child = StableCurve(int(key[0]), yr, yphi, k0=k0,
                             require_homogeneous=False, min_knots=4)
     except ValidationFailed:
+        return None
+    return child, par_r, cum
+
+
+def _materialize_run(map_def, node, run, delta0, k0):
+    """Build homogeneous child pieces from one smooth sample run."""
+    if len(run) < 4:
         return []
-
-    out = []
+    key = run[len(run) // 2, [_J, _K]]
+    piece = _piece(map_def, node, run, key, k0)
+    if piece is None:
+        return []
+    child, par_r, cum = piece
     if child.length <= delta0:
-        out.append((child, par_r, cum))
-    else:
-        m = int(math.ceil(child.length / delta0))
-        # split at (approximately) equal-arclength points
-        rr_d = np.linspace(yr[0], yr[-1], 513)
-        sp = np.hypot(1.0, child.slope_at(rr_d))
-        s_cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (sp[1:] + sp[:-1]) * np.diff(rr_d))])
-        targets = np.linspace(0.0, s_cum[-1], m + 1)
-        r_split = np.interp(targets, s_cum, rr_d)
-        for i in range(m):
-            a_i, b_i = r_split[i], r_split[i + 1]
-            sel_r = np.linspace(a_i, b_i, max(8, yr.size // m + 4))
-            sel_phi = child.phi_at(sel_r)
-            sub = StableCurve(key[0], sel_r, sel_phi, k0=k0,
-                              require_homogeneous=False, min_knots=4)
-            sub_par = np.interp(sel_r, yr, par_r)
-            sub_cum = np.interp(sel_r, yr, cum)
-            out.append((sub, sub_par, sub_cum))
-    return out
+        return [piece]
+    # cut at equal arclength; each sub-piece takes its knots from one pull
+    # at evenly spaced parent parameters of its span
+    m = int(math.ceil(child.length / delta0))
+    rr = np.linspace(child.r[0], child.r[-1], 513)
+    sp = np.hypot(1.0, child.slope_at(rr))
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1])
+                                         * np.diff(rr))])
+    par = np.interp(np.interp(np.linspace(0.0, s[-1], m + 1), s, rr),
+                    child.r, par_r)
+    n = max(8, child.r.size // m + 4)
+    rows = _pull(map_def, node.curve, np.concatenate(
+        [np.linspace(a, b, n) for a, b in zip(par[:-1], par[1:])]), k0)
+    pieces = [_piece(map_def, node, sub, key, k0)
+              for sub in np.split(rows, m)]
+    return [p for p in pieces if p is not None]
 
 
-def pullback_generation(root, map_def, n, params=None, n_probe=96):
-    """Build the generation tree of a stable curve down to level n."""
+def pullback_generation(root, map_def, n, params=None):
+    """Build the generation tree of a stable curve down to level n.
+
+    Raises RefinementBudgetExceeded once the tree holds more than
+    _MAX_PIECES pieces."""
     params = params or NormParams()
     tree = GenerationTree(root, params.delta0, params.k0)
+    pieces = 0
     for level in range(1, n + 1):
         new_nodes = []
         for pidx, node in enumerate(tree.levels[level - 1]):
             for child, par_r, cum in _pull_node(map_def, node, params.delta0,
-                                                params.k0,
-                                                n_probe=n_probe):
+                                                params.k0):
                 is_long = child.length >= params.delta0 / 3.0
                 mrla = ((level, len(new_nodes)) if is_long
                         else node.mrla if not node.long
@@ -411,6 +394,11 @@ def pullback_generation(root, map_def, n, params=None, n_probe=96):
                     long=is_long,
                     never_long=node.never_long and not is_long,
                     mrla=mrla))
+            if pieces + len(new_nodes) > _MAX_PIECES:
+                raise RefinementBudgetExceeded(
+                    f"more than {_MAX_PIECES} pieces in the tree at level "
+                    f"{level}")
+        pieces += len(new_nodes)
         tree.levels.append(new_nodes)
     return tree
 

@@ -306,13 +306,9 @@ def _corridor_free(config, flight_cap, n_dirs=5, n_off=48):
 def _launches(config, n_samples, seed):
     """The random launches (idx, r, phi) config_metrics flies."""
     rng = np.random.default_rng(seed)
-    idx = np.empty(n_samples, dtype=int)
-    r = np.empty(n_samples)
-    phi = np.empty(n_samples)
-    for k in range(n_samples):
-        idx[k] = i = int(rng.integers(len(config)))
-        r[k] = rng.uniform(0, config[i].L)
-        phi[k] = rng.uniform(-np.pi / 2 * 0.999, np.pi / 2 * 0.999)
+    idx = rng.integers(len(config), size=n_samples)
+    r = rng.uniform(size=n_samples) * config.lengths[idx]
+    phi = rng.uniform(-np.pi / 2 * 0.999, np.pi / 2 * 0.999, n_samples)
     return idx, r, phi
 
 

@@ -7,7 +7,7 @@ measurement with the extremal sample recorded; nothing here is a proof.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -250,10 +250,7 @@ def one_step_expansion_sum(map_def, W, params=None, sigma=5.0 / 6.0):
     """
     params = params or NormParams()
     cfg = map_def.config
-    nocap = NormParams(p=params.p, q=params.q, alpha=params.alpha,
-                       beta=params.beta, delta0=1e9, eps0=params.eps0,
-                       k0=params.k0, b=params.b)
-    tree = pullback_generation(W, map_def, 1, nocap)
+    tree = pullback_generation(W, map_def, 1, replace(params, delta0=1e9))
     sum_star = 0.0
     sum_sigma = 0.0
     pieces = 0
@@ -280,9 +277,7 @@ def calibrate_delta0(map_def, metrics, n_curves=60, target=0.9, seed=0,
     base = params or NormParams()
 
     def worst_sum(delta0):
-        p = NormParams(p=base.p, q=base.q, alpha=base.alpha, beta=base.beta,
-                       delta0=delta0, eps0=min(base.eps0, delta0 / 2),
-                       k0=base.k0, b=base.b)
+        p = replace(base, delta0=delta0, eps0=min(base.eps0, delta0 / 2))
         curves = sample_stable_curves(map_def.config, metrics, n_curves, p,
                                       seed=seed)
         worst = 0.0

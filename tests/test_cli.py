@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from lorentzgas import cli
+from lorentzgas import cli, curve_machinery
 from lorentzgas.cli import main, fixture_path
 from lorentzgas.hyperbolicity import HypothesisReport
 
@@ -138,6 +138,16 @@ def test_curves_subcommand(tmp_path):
     with open(tmp_path / "curves.csv") as fh:
         first = fh.readline()
     assert first.startswith("# manifest: " + man["digest"])
+
+
+def test_curves_past_the_piece_budget_exit_1(tmp_path, monkeypatch, capsys):
+    """A tree that outgrows its piece budget stops with exit 1 and a
+    message naming the level, and writes no CSV."""
+    monkeypatch.setattr(curve_machinery, "_MAX_PIECES", 5)
+    assert run(["--out-dir", tmp_path, "curves", "four_disk", "--curves", 1,
+                "--depth", 3]) == 1
+    assert "at level " in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_spectrum_path_through_a_degenerate_pair(tmp_path):

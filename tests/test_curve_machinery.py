@@ -163,13 +163,45 @@ def test_growth_sums_structure(setup):
         assert np.isfinite(s["sum_b"]) and np.isfinite(s["sum_c"])
     # contraction: the level-sum of stable Jacobians stays bounded
     assert sums[-1]["sum_b"] < 10.0
-    # the tree of the point-by-point bisection these cuts were found with
+    # the tree of the point-by-point bisection these cuts were found with,
+    # its pieces past the length cap split into pieces of exact preimages
     assert [(s["count"], s["sum_a"], s["sum_b"], s["sum_c"], s["sum_d"])
             for s in sums] == [
         (1, 1.0, 1.0, 1.0, 1.0),
-        (2, 0.0, 0.6588102124034609, 0.9373342649654417, 0.7927524993254318),
-        (4, 0.0, 0.5367443705704158, 0.9022824673011347, 0.7501523056593187),
-        (26, 0.0, 0.3941164590351772, 0.9053077496244498, 0.7745170744351663)]
+        (2, 0.0, 0.6588102204495315, 0.9373342714497843, 0.7927525074014072),
+        (4, 0.0, 0.536744383432427, 0.9022824883766776, 0.7501523206407948),
+        (26, 0.0, 0.39418488585431277, 0.9053301439960171, 0.7746669939615728)]
+
+
+def test_pullback_knots_are_preimages(setup):
+    """Every knot of a level-n piece, pushed n steps forward, lies on the
+    root curve: within 1e-8 at levels 1-2 and 1e-4 at levels 3-4, where
+    what is left is the parents' spline error grown by each step."""
+    cfg, met, T = setup
+    params = NormParams()
+    worst = np.zeros(5)
+    for seed in range(4):
+        for root in sample_stable_curves(cfg, met, 3, params, seed=seed):
+            tree = pullback_generation(root, T, 4, params)
+            a, b = root.interval
+            L = cfg[root.scatterer].L
+            for level in range(1, 5):
+                nodes = tree.nodes(level)
+                idx = np.concatenate([np.full(nd.curve.r.size,
+                                              nd.curve.scatterer)
+                                      for nd in nodes])
+                r = np.concatenate([nd.curve.r for nd in nodes])
+                phi = np.concatenate([nd.curve.phi for nd in nodes])
+                for _ in range(level):
+                    idx, r, phi, _, ok = T.forward_batch(idx, r, phi)
+                    assert ok.all()
+                assert np.all(idx == root.scatterer)
+                r = np.where(r < a - L / 2, r + L, r)
+                assert np.all((r >= a - 1e-8) & (r <= b + 1e-8))
+                worst[level] = max(worst[level],
+                                   np.max(np.abs(phi - root.phi_at(r))))
+    assert np.all(worst[1:3] <= 1e-8), worst
+    assert np.all(worst[3:] <= 1e-4), worst
 
 
 def test_norm_estimates_finite(setup):

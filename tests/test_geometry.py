@@ -203,10 +203,11 @@ def test_infinite_horizon_detected():
     assert config_metrics(two_disk()).horizon == "infinite"
 
 
-# reference values of the map's own flights
+# reference values of the map's own flights; tau_max is the longest of
+# the random launches, drawn as three arrays (index, r, phi)
 @pytest.mark.parametrize("make, expected", [
     (fixture_four_disk, dict(
-        tau_min=0.049999999999999406, tau_max=0.9833485130628967,
+        tau_min=0.049999999999999406, tau_max=0.9814921036212244,
         K_min=3.333333333333333, K_max=6.666666666666666,
         E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
     (two_disk, dict(
@@ -214,7 +215,7 @@ def test_infinite_horizon_detected():
         K_min=2.8571428571428577, K_max=2.8571428571428577,
         E_max=13.077514939085585, horizon="infinite", flight_cap=50.0)),
     (lambda: fixture_four_disk(cos_coeffs=[0.0, 0.02]),
-     dict(tau_min=0.04400000000000001, tau_max=0.9868628216649079,
+     dict(tau_min=0.04400000000000001, tau_max=0.9764640664659471,
           K_min=3.1236984589754266, K_max=6.666666666666666,
           E_max=52.761111081865124, horizon="finite", flight_cap=50.0)),
 ], ids=["four_disk", "two_disk", "profile"])

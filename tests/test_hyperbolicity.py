@@ -104,6 +104,18 @@ def test_calibrated_delta0(setup):
     assert worst <= 0.9
 
 
+def test_rebuilt_params_keep_sigma0(setup):
+    """alpha = 0.9 is valid with sigma0 = 0.05 only: both rebuilds of the
+    params with a new delta0 keep its sigma0."""
+    cfg, met, T = setup
+    params = NormParams(alpha=0.9, sigma0=0.05)
+    w = sample_stable_curves(cfg, met, 1, params, seed=3)[0]
+    assert one_step_expansion_sum(T, w, params)["pieces"] > 0
+    d0, worst = calibrate_delta0(T, met, n_curves=2, target=0.9, seed=0,
+                                 iters=1, params=params)
+    assert d0 > 0 and np.isfinite(worst)
+
+
 def test_distortion_estimate_and_refinement(setup):
     cfg, met, T = setup
     curves = sample_stable_curves(cfg, met, 15, NormParams(), seed=4)
